@@ -266,7 +266,8 @@ func (s *System) dirTransaction(core int, block mem.Addr, mode AccessMode) (cach
 	before := s.ctr.Snap()
 	db, ob, sb := s.dirPeek(block)
 	st, lat := s.dirTransact(core, block, mode)
-	ev := &Event{
+	ev := &s.ev
+	*ev = Event{
 		Kind:          EvTransaction,
 		Thread:        s.evThread,
 		Core:          core,

@@ -315,7 +315,8 @@ func (s *System) evictL2Victim(core int, ev cache.Eviction) {
 	s.impl.EvictVictim(core, ev, e)
 
 	if s.sink != nil {
-		evn := &Event{
+		evn := &s.ev
+		*evn = Event{
 			Kind:          EvEvict,
 			Thread:        s.evThread,
 			Core:          core,
@@ -505,7 +506,8 @@ func (s *System) reconcileBlock(block mem.Addr, e *coherence.Entry, forgetRegion
 	}
 
 	if s.sink != nil {
-		ev := &Event{
+		ev := &s.ev
+		*ev = Event{
 			Kind:          EvReconcile,
 			Thread:        s.evThread,
 			Core:          -1,

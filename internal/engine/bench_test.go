@@ -9,7 +9,7 @@ import (
 // BenchmarkEngineOpOverhead measures the engine's per-operation host cost
 // with a trivial handler. threads=1 exercises the inline-lease fast path
 // (the thread owns an infinite horizon, so Call never parks); higher
-// thread counts advance in lockstep, forcing a park/handoff on every
+// thread counts advance in lockstep, forcing a park and resume on every
 // operation — the slow path's upper bound.
 func BenchmarkEngineOpOverhead(b *testing.B) {
 	for _, threads := range []int{1, 4, 24} {
@@ -23,6 +23,7 @@ func BenchmarkEngineOpOverhead(b *testing.B) {
 					}
 				})
 			}
+			b.ReportAllocs()
 			b.ResetTimer()
 			if _, err := e.Run(); err != nil {
 				b.Fatal(err)
@@ -71,6 +72,7 @@ func BenchmarkEngineSequentialVsPDES(b *testing.B) {
 			for _, p := range procs {
 				name := fmt.Sprintf("engine=%s/threads=%d/gomaxprocs=%d", engine, threads, p)
 				b.Run(name, func(b *testing.B) {
+					b.ReportAllocs()
 					prev := runtime.GOMAXPROCS(p)
 					defer runtime.GOMAXPROCS(prev)
 					ops := threads * 2000 * 33

@@ -1,14 +1,16 @@
+//go:build go1.23
+
 // Package engine is a deterministic, execution-driven multicore simulation
-// engine. Each simulated hardware thread is a goroutine running real Go
+// engine. Each simulated hardware thread is a coroutine running real Go
 // code (the HLPL runtime plus benchmark); whenever that code performs a
-// simulated operation (load, store, compute, ...) the goroutine parks and
-// the engine decides when — in simulated time — the operation happens.
+// simulated operation (load, store, compute, ...) the engine decides when —
+// in simulated time — the operation happens.
 //
 // Determinism comes from two rules:
 //
-//  1. Exactly one goroutine runs simulator or program state at any instant.
-//     Control passes from goroutine to goroutine through explicit
-//     handoffs; nothing else runs in between.
+//  1. Exactly one coroutine runs simulator or program state at any instant.
+//     Control passes between the scheduler and a thread only through
+//     explicit coroutine switches; nothing else runs in between.
 //  2. Among parked threads, the engine always executes the operation of the
 //     thread with the smallest local clock, breaking ties by thread id.
 //
@@ -16,33 +18,34 @@
 // locks anywhere — and every run of the same program is bit-identical,
 // which the test suite asserts.
 //
-// The scheduler is decentralized for host speed. There is no engine
-// goroutine in the hot loop; two mechanisms keep the op rate high:
-//
-//   - Inline lease: when a thread is resumed it learns the smallest
-//     (clock, id) among every *other* parked thread. While its own
-//     (clock, id) stays below that horizon, its next operation is by
-//     definition the one rule 2 would pick, so Thread.Call executes the
-//     handler inline on the thread's own goroutine with no handoff and no
-//     scheduling structure touched at all. The horizon cannot go stale:
-//     other threads' clocks only move while this thread is parked.
-//
-//   - Direct handoff: when a thread's clock catches up to the horizon it
-//     parks itself in the scheduler heap, pops the new global minimum
-//     thread, executes that thread's pending operation on the *current*
-//     goroutine (handlers are goroutine-agnostic), and wakes it — one
-//     channel handoff per op instead of the two an engine-in-the-middle
-//     design pays.
+// Each thread body runs as an iter.Pull coroutine. Run is the hub: it pops
+// the parked thread with the smallest (clock, id) from a binary heap,
+// executes that thread's pending operation, and resumes the thread, which
+// runs until its next park (or its body returns). A coroutine switch is a
+// direct runtime handoff between two goroutines with no scheduler queue in
+// between, several times cheaper than a channel handoff. On top of it the
+// inline lease removes most switches entirely: when a thread is resumed it
+// learns the smallest (clock, id) among every *other* parked thread. While
+// its own (clock, id) stays below that horizon, its next operation is by
+// definition the one rule 2 would pick, so Thread.Call executes the handler
+// inline on the thread's own coroutine with no switch and no scheduling
+// structure touched at all. The horizon cannot go stale: other threads'
+// clocks only move while this thread is parked.
 //
 // Both paths execute handlers in exactly the (clock, id) serialized order,
 // and the body code between two of a thread's operations always runs
 // immediately after the first operation's handler — identical to a
 // centralized engine, so simulated results are unchanged to the bit.
+//
+// A run that ends early — a tripped cycle guard or a body panic — stops
+// every suspended coroutine before Run returns, so no goroutine outlives
+// the run.
 package engine
 
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"sync/atomic"
 )
 
@@ -89,8 +92,8 @@ type LocalOp interface{ EngineLocal() }
 // Handler executes op on behalf of t and returns how many cycles t's local
 // clock advances. Handlers run while every other thread is parked and may
 // freely mutate simulator state; the goroutine they run on varies (the
-// issuing thread's on the inline path, the previous thread's on a handoff)
-// but is always the only one running.
+// issuing thread's coroutine on the inline path, Run's hub otherwise) but
+// is always the only one running.
 type Handler func(t *Thread, op Op) (advance uint64)
 
 // Thread is one simulated hardware thread.
@@ -98,23 +101,31 @@ type Thread struct {
 	id      int
 	now     uint64
 	eng     *Engine
-	res     chan struct{}
 	body    func(*Thread)
 	pending Op // parked operation awaiting execution
+
+	// Coroutine hosting the body under the sequential scheduler: the hub
+	// resumes it with next and cancels it with stop; park suspends it
+	// through yield.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 
 	// Inline-execution lease: the smallest (clock, id) among all *other*
 	// parked threads, refreshed by the scheduler before each wake. While
 	// (now, id) precedes (horizonNow, horizonID) this thread is the one the
 	// scheduler would pick, so Call runs the handler inline with no
-	// handshake. The PDES serial drain reuses the same pair as its global
+	// switch. The PDES serial drain reuses the same pair as its global
 	// lease (see pdes.go).
 	horizonNow uint64
 	horizonID  int
 
-	// PDES state (unused by the sequential scheduler). limit is the current
-	// epoch horizon H: local ops execute only while now < limit. serial is
-	// set while the thread holds the phase-2 drain lease, allowing global
-	// ops to run inline under (horizonNow, horizonID).
+	// PDES state (unused by the sequential scheduler). res wakes the
+	// thread's goroutine; limit is the current epoch horizon H: local ops
+	// execute only while now < limit. serial is set while the thread holds
+	// the phase-2 drain lease, allowing global ops to run inline under
+	// (horizonNow, horizonID).
+	res    chan struct{}
 	limit  uint64
 	serial bool
 }
@@ -129,8 +140,8 @@ func (t *Thread) Now() uint64 { return t.now }
 // clock by the handler's result). It must only be called from the thread's
 // own body. While the thread holds the inline lease — its clock strictly
 // precedes every other parked thread's — the handler runs immediately on
-// this goroutine; otherwise the thread parks and hands control to the
-// thread with the smallest clock.
+// this coroutine; otherwise the thread parks and the hub runs the thread
+// with the smallest clock.
 func (t *Thread) Call(op Op) {
 	e := t.eng
 	if e.pdes != nil {
@@ -141,7 +152,7 @@ func (t *Thread) Call(op Op) {
 		(e.MaxCycles == 0 || t.now <= e.MaxCycles) {
 		// This thread is the scheduler's next pick: executing inline is
 		// bit-identical to parking and being rescheduled, minus the
-		// handoff. (Past MaxCycles, fall through so the scheduler raises
+		// switch. (Past MaxCycles, fall through so the scheduler raises
 		// ErrMaxCycles exactly as a centralized engine would.)
 		adv := e.handler(t, op)
 		t.now += adv
@@ -153,33 +164,29 @@ func (t *Thread) Call(op Op) {
 	t.park(op)
 }
 
-// park is Call's slow path: enqueue op, run the scheduling step, transfer
-// control, and wait to be rescheduled.
+// errStopped unwinds a coroutine that Run cancelled while it was parked.
+var errStopped = errors.New("engine: thread stopped")
+
+// park is Call's slow path: enqueue op and suspend until the hub has
+// executed it. A false yield means Run is abandoning the thread; unwinding
+// the body then releases its goroutine (see run).
 func (t *Thread) park(op Op) {
-	e := t.eng
 	t.pending = op
-	e.heap.push(t)
-	if !e.running {
-		// Startup: Run drives scheduling; just report that this thread
-		// reached its first operation.
-		e.startc <- nil
-		<-t.res
-		return
+	t.eng.heap.push(t)
+	if !t.yield(struct{}{}) {
+		panic(errStopped)
 	}
-	u := e.schedule()
-	if u == t {
-		// Unreachable while the lease is granted eagerly (the lease
-		// condition is the pick condition), but harmless: t's op already
-		// executed, so just continue.
-		return
-	}
-	if u != nil {
-		u.res <- struct{}{}
-	}
-	// On a scheduler-raised error (u == nil) nobody ever wakes this
-	// goroutine; it pins its stack until the process exits, exactly like
-	// the parked threads a centralized engine abandons when Run errors.
-	<-t.res
+}
+
+// run is the coroutine function hosting t's body.
+func (t *Thread) run(yield func(struct{}) bool) {
+	defer func() {
+		if r := recover(); r != nil && r != any(errStopped) {
+			panic(r)
+		}
+	}()
+	t.yield = yield
+	t.body(t)
 }
 
 // Engine runs a set of threads to completion. Create with New.
@@ -187,12 +194,8 @@ type Engine struct {
 	threads []*Thread
 	handler Handler
 
-	heap clockHeap
-
-	running bool       // startup complete; threads schedule each other
-	final   uint64     // maximum clock observed (the global clock)
-	startc  chan any   // startup: thread parked/exited (nil) or panicked (value)
-	donec   chan attic // terminal outcome for Run
+	heap  clockHeap
+	final uint64 // maximum clock observed (the global clock)
 
 	// MaxCycles aborts the run when every runnable thread's clock exceeds
 	// it — a guard against deadlocked simulated programs. Zero means no
@@ -203,15 +206,14 @@ type Engine struct {
 	// predictable branch per op.
 	probe *Probe
 
-	// ran guards Run against double invocation (the channels and heap are
+	// ran guards Run against double invocation (the coroutines and heap are
 	// single-use; a second Run would silently corrupt them).
 	ran bool
 
 	// PDES scheduler state (nil selects the sequential scheduler).
-	pdes       *PDESConfig
-	pdesParked []*Thread    // threads parked during startup / between epochs
-	parkc      chan pdesMsg // running threads report park/exit/panic here
-	epochHook  func(EpochEvent)
+	pdes      *PDESConfig
+	parkc     chan pdesMsg // running threads report park/exit/panic here
+	epochHook func(EpochEvent)
 
 	// Serial-drain state for the current epoch, owned by whichever
 	// goroutine holds the drain baton: the one live serial thread, or the
@@ -226,15 +228,16 @@ type Engine struct {
 // be shared across engines.
 func (e *Engine) SetProbe(p *Probe) { e.probe = p }
 
-// attic is the terminal state Run recovers from the last scheduling step.
-type attic struct {
-	final  uint64
-	err    error
-	panicv any
-}
-
-// ErrMaxCycles is returned by Run when the cycle guard trips.
+// ErrMaxCycles is returned by Run when the cycle guard trips. The returned
+// error wraps it with the offending thread and its pending op; match it
+// with errors.Is.
 var ErrMaxCycles = errors.New("engine: exceeded MaxCycles (simulated program deadlocked or runaway)")
+
+// maxCyclesError reports a tripped cycle guard at t, the parked thread
+// with the smallest (clock, id).
+func maxCyclesError(t *Thread) error {
+	return fmt.Errorf("%w: thread %d at cycle %d, pending %T", ErrMaxCycles, t.id, t.now, t.pending)
+}
 
 // New creates an engine with n threads whose operations are executed by
 // handler.
@@ -244,7 +247,7 @@ func New(n int, handler Handler) *Engine {
 	}
 	e := &Engine{handler: handler}
 	for i := 0; i < n; i++ {
-		e.threads = append(e.threads, &Thread{id: i, eng: e, res: make(chan struct{})})
+		e.threads = append(e.threads, &Thread{id: i, eng: e})
 	}
 	return e
 }
@@ -258,120 +261,74 @@ func (e *Engine) SetBody(id int, body func(*Thread)) {
 	e.threads[id].body = body
 }
 
-// schedule pops the thread with the smallest (clock, id), executes its
-// pending operation on the current goroutine, grants it a fresh inline
-// lease, and returns it for the caller to wake. On a tripped cycle guard it
-// reports the terminal outcome instead and returns nil.
-func (e *Engine) schedule() *Thread {
-	u := e.heap.pop()
-	if e.MaxCycles > 0 && u.now > e.MaxCycles {
-		e.donec <- attic{final: u.now, err: ErrMaxCycles}
-		return nil
-	}
-	op := u.pending
-	u.pending = nil
-	adv := e.handler(u, op)
-	u.now += adv
-	if p := e.probe; p != nil {
-		p.note(adv)
-	}
-	if u.now > e.final {
-		e.final = u.now
-	}
-	if e.heap.len() > 0 {
-		r := e.heap.a[0]
-		u.horizonNow, u.horizonID = r.now, r.id
-	} else {
-		u.horizonNow, u.horizonID = ^uint64(0), int(^uint(0)>>1)
-	}
-	return u
-}
-
-// launch starts t's body on its own goroutine. The wrapper turns body
-// completion into a scheduling step (or a startup/terminal notification)
-// and forwards panics so they surface from Run instead of deadlocking.
-func (e *Engine) launch(t *Thread) {
-	go func() {
-		defer func() {
-			if e.pdes != nil && e.running {
-				// PDES: the coordinator owns termination; report the exit
-				// (or panic) and let it account the final clock.
-				e.parkc <- pdesMsg{t: t, exited: true, panicv: recover()}
-				return
-			}
-			if r := recover(); r != nil {
-				if !e.running {
-					e.startc <- r
-				} else {
-					e.donec <- attic{panicv: r}
-				}
-				return
-			}
-			if t.now > e.final {
-				e.final = t.now
-			}
-			if !e.running {
-				e.startc <- nil
-				return
-			}
-			if e.heap.len() == 0 {
-				// Last thread out reports the final clock.
-				e.donec <- attic{final: e.final}
-				return
-			}
-			if u := e.schedule(); u != nil {
-				u.res <- struct{}{}
-			}
-		}()
-		t.body(t)
-	}()
-}
-
 // Run executes all thread bodies to completion and returns the final global
 // clock (the maximum thread-local clock). It can only be called once:
-// the scheduling channels and parked-thread structures are single-use, so
-// a second call panics rather than silently corrupting them.
+// the coroutines and parked-thread structures are single-use, so a second
+// call panics rather than silently corrupting them.
 func (e *Engine) Run() (uint64, error) {
 	if e.ran {
 		panic("engine: Run called twice on the same Engine (create a new Engine per run)")
 	}
 	e.ran = true
-	if e.pdes != nil {
-		return e.runPDES()
-	}
-	e.heap.a = make([]*Thread, 0, len(e.threads))
-	e.startc = make(chan any)
-	e.donec = make(chan attic, 1)
-
-	// Start threads one at a time; a freshly started thread runs until its
-	// first op (or exit), so only one goroutine is ever live. The inline
-	// lease stays revoked (horizon (0, -1)) until the full parked set is
-	// known.
 	for _, t := range e.threads {
 		if t.body == nil {
 			panic(fmt.Sprintf("engine: thread %d has no body", t.id))
 		}
-		t.horizonNow, t.horizonID = 0, -1
-		e.launch(t)
-		if v := <-e.startc; v != nil {
-			panic(v)
-		}
 	}
-	if e.heap.len() == 0 {
-		return e.final, nil // every body exited without a single op
+	if e.pdes != nil {
+		return e.runPDES()
+	}
+	// On a tripped guard or a panic, cancel every coroutine still parked.
+	// After a clean run all have returned and this is a no-op.
+	defer func() {
+		for _, t := range e.threads {
+			if t.stop != nil {
+				t.stop()
+			}
+		}
+	}()
+	e.heap.a = make([]*Thread, 0, len(e.threads))
+
+	// Start threads one at a time, in id order; each runs until its first
+	// op (or exit). The inline lease stays revoked (horizon (0, -1)) until
+	// the full parked set is known.
+	for _, t := range e.threads {
+		t.horizonNow, t.horizonID = 0, -1
+		t.next, t.stop = iter.Pull(t.run)
+		e.resume(t)
 	}
 
-	// Kick off decentralized scheduling: execute the first op here, wake
-	// its thread, and wait for the last scheduling step to report back.
-	e.running = true
-	if u := e.schedule(); u != nil {
-		u.res <- struct{}{}
+	// The hub: execute the smallest (clock, id) thread's pending op, grant
+	// it a fresh inline lease, and resume its body.
+	for e.heap.len() > 0 {
+		u := e.heap.pop()
+		if e.MaxCycles > 0 && u.now > e.MaxCycles {
+			return u.now, maxCyclesError(u)
+		}
+		op := u.pending
+		u.pending = nil
+		adv := e.handler(u, op)
+		u.now += adv
+		if p := e.probe; p != nil {
+			p.note(adv)
+		}
+		if e.heap.len() > 0 {
+			r := e.heap.a[0]
+			u.horizonNow, u.horizonID = r.now, r.id
+		} else {
+			u.horizonNow, u.horizonID = ^uint64(0), int(^uint(0)>>1)
+		}
+		e.resume(u)
 	}
-	out := <-e.donec
-	if out.panicv != nil {
-		panic(out.panicv)
+	return e.final, nil
+}
+
+// resume runs t's body until it parks or returns. A body panic propagates
+// from here out of Run.
+func (e *Engine) resume(t *Thread) {
+	if _, parked := t.next(); !parked && t.now > e.final {
+		e.final = t.now
 	}
-	return out.final, out.err
 }
 
 // clockHeap is a binary min-heap of parked threads ordered by (now, id) —

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"errors"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -121,17 +123,87 @@ func TestDeterministicInterleaving(t *testing.T) {
 	}
 }
 
+// TestMaxCycles: the guard trips on a runaway thread and names the
+// offending thread, its clock, and the type of the op it was about to
+// execute.
 func TestMaxCycles(t *testing.T) {
-	e := New(1, func(_ *Thread, op Op) uint64 { return 100 })
+	e := New(2, func(_ *Thread, op Op) uint64 { return uint64(op.(simpleOp)) })
 	e.MaxCycles = 1000
-	e.SetBody(0, func(th *Thread) {
+	e.SetBody(0, func(th *Thread) { th.Call(simpleOp(10)) })
+	e.SetBody(1, func(th *Thread) {
 		for { // simulated runaway
-			th.Call(simpleOp(0))
+			th.Call(simpleOp(300))
 		}
 	})
-	_, err := e.Run()
+	final, err := e.Run()
 	if !errors.Is(err, ErrMaxCycles) {
 		t.Fatalf("err = %v, want ErrMaxCycles", err)
+	}
+	if final != 1200 {
+		t.Fatalf("final = %d, want 1200", final)
+	}
+	want := "thread 1 at cycle 1200, pending engine.simpleOp"
+	if !strings.Contains(err.Error(), want) {
+		t.Fatalf("err = %q, want it to contain %q", err, want)
+	}
+}
+
+// waitGoroutines reports whether the goroutine count settles back to n.
+func waitGoroutines(n int) bool {
+	for i := 0; i < 100; i++ {
+		if runtime.NumGoroutine() <= n {
+			return true
+		}
+		runtime.Gosched()
+	}
+	return false
+}
+
+// TestFailedRunsReleaseThreads: a run that ends on the cycle guard or on a
+// body panic must not leave any thread's goroutine parked behind it.
+func TestFailedRunsReleaseThreads(t *testing.T) {
+	runaway := func() {
+		e := New(8, func(_ *Thread, op Op) uint64 { return 7 })
+		e.MaxCycles = 5000
+		for i := 0; i < 8; i++ {
+			e.SetBody(i, func(th *Thread) {
+				for {
+					th.Call(simpleOp(0))
+				}
+			})
+		}
+		if _, err := e.Run(); !errors.Is(err, ErrMaxCycles) {
+			t.Fatalf("err = %v, want ErrMaxCycles", err)
+		}
+	}
+	panicking := func() {
+		e := New(8, func(_ *Thread, op Op) uint64 { return 1 })
+		for i := 0; i < 8; i++ {
+			i := i
+			e.SetBody(i, func(th *Thread) {
+				for k := 0; ; k++ {
+					if i == 5 && k == 40 {
+						panic("boom")
+					}
+					th.Call(simpleOp(1))
+				}
+			})
+		}
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Fatalf("recovered %v, want boom", r)
+			}
+		}()
+		e.Run()
+	}
+	for name, run := range map[string]func(){"maxcycles": runaway, "panic": panicking} {
+		base := runtime.NumGoroutine()
+		for i := 0; i < 5; i++ {
+			run()
+		}
+		if !waitGoroutines(base) {
+			t.Errorf("%s: %d goroutines after failed runs, baseline %d", name, runtime.NumGoroutine(), base)
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 // Conservative parallel discrete-event scheduling (PDES) for the engine.
 //
 // The sequential scheduler in engine.go executes every op in exact
-// (clock, id) order, one goroutine live at a time. The PDES scheduler
+// (clock, id) order, one coroutine live at a time. The PDES scheduler
 // below spreads one simulation across host cores while producing the
 // bit-identical serialized history, by splitting ops into two classes:
 //
@@ -59,10 +59,7 @@
 // (machine.Ctx.Host) to land at its exact serialized position.
 package engine
 
-import (
-	"fmt"
-	"runtime"
-)
+import "runtime"
 
 // PDESConfig configures the conservative epoch-window scheduler.
 type PDESConfig struct {
@@ -139,6 +136,18 @@ type pdesMsg struct {
 	panicv any
 }
 
+// launch starts t's body on its own goroutine. The wrapper reports the
+// body's exit (or panic) to the coordinator, which accounts the final
+// clock and surfaces panics from Run instead of deadlocking.
+func (e *Engine) launch(t *Thread) {
+	go func() {
+		defer func() {
+			e.parkc <- pdesMsg{t: t, exited: true, panicv: recover()}
+		}()
+		t.body(t)
+	}()
+}
+
 // callPDES is Thread.Call under the PDES scheduler.
 func (t *Thread) callPDES(op Op) {
 	e := t.eng
@@ -184,12 +193,7 @@ func (t *Thread) parkPDES(op Op) {
 	t.pending = op
 	serial := t.serial
 	t.serial = false
-	switch {
-	case !e.running:
-		// Startup: Run launches threads one at a time; just register.
-		e.pdesParked = append(e.pdesParked, t)
-		e.startc <- nil
-	case serial:
+	if serial {
 		// Direct handoff: this thread holds the drain baton, so it owns
 		// drainHeap and may wake its successor itself — one channel
 		// send per switch instead of a round trip through the
@@ -200,7 +204,7 @@ func (t *Thread) parkPDES(op Op) {
 		if !e.wakeNextDrain() {
 			e.parkc <- pdesMsg{t: t} // drain ran dry; close the epoch
 		}
-	default:
+	} else {
 		e.parkc <- pdesMsg{t: t}
 	}
 	<-t.res
@@ -239,27 +243,29 @@ func (e *Engine) wakeNextDrain() bool {
 func (e *Engine) runPDES() (uint64, error) {
 	w := e.pdes.Window
 	e.procs = runtime.GOMAXPROCS(0)
-	e.startc = make(chan any)
 	e.parkc = make(chan pdesMsg, len(e.threads))
 
-	// Startup: identical to the sequential engine — threads launch one at
-	// a time and run to their first op (limit 0 forces an immediate park),
-	// so exactly one goroutine is live and host allocation order is
-	// deterministic.
+	// Startup: threads launch one at a time, in id order, and run to their
+	// first op (limit 0 forces an immediate park) or exit, so exactly one
+	// goroutine is live and host allocation order is deterministic —
+	// identical to the sequential engine.
+	var parked []*Thread
 	for _, t := range e.threads {
-		if t.body == nil {
-			panic(fmt.Sprintf("engine: thread %d has no body", t.id))
-		}
-		t.horizonNow, t.horizonID = 0, -1
+		t.res = make(chan struct{})
 		t.limit = 0
 		e.launch(t)
-		if v := <-e.startc; v != nil {
-			panic(v)
+		m := <-e.parkc
+		switch {
+		case m.panicv != nil:
+			panic(m.panicv)
+		case m.exited:
+			if t.now > e.final {
+				e.final = t.now
+			}
+		default:
+			parked = append(parked, t)
 		}
 	}
-	e.running = true
-
-	parked := e.pdesParked
 	live := len(parked)
 	finalFlush := func() {
 		if f := e.pdes.Flush; f != nil {
@@ -285,7 +291,7 @@ func (e *Engine) runPDES() (uint64, error) {
 			// Same condition and same reported clock as the sequential
 			// scheduler: every op with clock <= MaxCycles has executed.
 			finalFlush()
-			return minT.now, ErrMaxCycles
+			return minT.now, maxCyclesError(minT)
 		}
 		h := minT.now + w
 		if h < minT.now {

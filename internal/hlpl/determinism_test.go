@@ -38,12 +38,12 @@ func runOnce(t *testing.T, name string) (uint64, stats.Counters) {
 	return cycles, *m.Counters()
 }
 
-// TestRunDeterministicUnderRace guards the engine's "exactly one goroutine
-// runs, strict (clock, id) order" invariant, which the inline-lease and
-// direct-handoff fast paths depend on: two end-to-end runs of the same
-// benchmark must report bit-identical cycle counts and counters. Running
-// this under `go test -race` (CI does) additionally proves the handoff
-// protocol establishes happens-before edges for all simulator state.
+// TestRunDeterministicUnderRace guards the engine's "exactly one coroutine
+// runs, strict (clock, id) order" invariant, which the inline-lease fast
+// path depends on: two end-to-end runs of the same benchmark must report
+// bit-identical cycle counts and counters. Running this under `go test
+// -race` (CI does) additionally proves the coroutine switches establish
+// happens-before edges for all simulator state.
 func TestRunDeterministicUnderRace(t *testing.T) {
 	for _, name := range []string{"fib", "primes"} {
 		c1, ctr1 := runOnce(t, name)

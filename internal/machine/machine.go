@@ -41,6 +41,11 @@ type Machine struct {
 	// instead of the thread-local fenceOp.
 	syncFences bool
 
+	// ev is execObserved's scratch event, rebuilt whole for every
+	// instruction (sinks must not retain it), so observation allocates
+	// nothing per op.
+	ev core.Event
+
 	// PDES state (see pdes.go). locals is non-nil iff emode is EnginePDES;
 	// observing caches Sink() != nil for the concurrent local handler,
 	// which must not read the (mutable) sink field itself.
@@ -211,7 +216,8 @@ func (m *Machine) execObserved(t *engine.Thread, op engine.Op) uint64 {
 	m.sys.SetEventCycle(t.Now())
 	before := m.ctr.Snap()
 	adv := m.execOp(t, op)
-	ev := core.Event{
+	ev := &m.ev
+	*ev = core.Event{
 		Thread:  t.ID(),
 		Core:    m.cfg.CoreOf(t.ID()),
 		Cycle:   t.Now(),
@@ -266,7 +272,7 @@ func (m *Machine) execObserved(t *engine.Thread, op engine.Op) uint64 {
 		ev.Kind = core.EvRegionRemove
 		ev.Region = o.id
 	}
-	m.sys.Emit(&ev)
+	m.sys.Emit(ev)
 	m.sys.SetEventThread(-1)
 	return adv
 }

@@ -262,3 +262,33 @@ func TestMaxCyclesGuard(t *testing.T) {
 		t.Fatal("runaway program did not trip the cycle guard")
 	}
 }
+
+// nopSink observes events and discards them.
+type nopSink struct{}
+
+func (nopSink) Event(*core.Event) {}
+
+// TestObservedOpsAllocateNothing: with a sink attached, an instruction's
+// event is built in machine-owned scratch, so an observed L1-hit load or
+// store costs no heap allocation.
+func TestObservedOpsAllocateNothing(t *testing.T) {
+	m := New(testCfg(), core.WARDen)
+	m.System().SetSink(nopSink{})
+	a := m.Mem().Alloc(64, 64)
+	var load, store float64
+	all := make([]func(*Ctx), m.Config().Threads())
+	for i := range all {
+		all[i] = func(*Ctx) {}
+	}
+	all[0] = func(ctx *Ctx) {
+		ctx.Store(a, 8, 1)
+		load = testing.AllocsPerRun(100, func() { ctx.Load(a, 8) })
+		store = testing.AllocsPerRun(100, func() { ctx.Store(a, 8, 2) })
+	}
+	if _, err := m.Run(all); err != nil {
+		t.Fatal(err)
+	}
+	if load != 0 || store != 0 {
+		t.Fatalf("observed ops allocate: load %v, store %v allocs/op", load, store)
+	}
+}

@@ -26,8 +26,8 @@ import (
 type EngineMode int
 
 const (
-	// EngineSequential is the default lease/handoff scheduler: one
-	// goroutine live at a time, the determinism ground truth.
+	// EngineSequential is the default lease/coroutine scheduler: one
+	// thread live at a time, the determinism ground truth.
 	EngineSequential EngineMode = iota
 	// EnginePDES is the conservative epoch-window parallel scheduler;
 	// byte-identical results to EngineSequential, potentially using all

@@ -163,7 +163,7 @@ func WriteSpans(w io.Writer, spans []span.Span) error {
 			}
 			ew.emit(map[string]any{
 				"name": s.Name, "cat": "span", "ph": "X",
-				"ts": s.StartUS - base, "dur": s.Duration(),
+				"ts": s.StartUS - base, "dur": s.Duration().Microseconds(),
 				"pid": 0, "tid": m.tid, "args": args,
 			})
 		}

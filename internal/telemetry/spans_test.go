@@ -65,6 +65,21 @@ func TestWriteSpansValidates(t *testing.T) {
 	}
 }
 
+// TestWriteSpansDurationMicroseconds: dur shares ts's unit (µs).
+func TestWriteSpansDurationMicroseconds(t *testing.T) {
+	var buf bytes.Buffer
+	err := WriteSpans(&buf, []span.Span{{
+		TraceID: "00000000000000010000000000000002", SpanID: "0000000000000001",
+		Name: "job", Track: "coordinator", StartUS: 2000, EndUS: 3500,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `"dur":1500,`) {
+		t.Fatalf("a 1500 µs span must write \"dur\":1500:\n%s", buf.Bytes())
+	}
+}
+
 func TestWriteSpansDeterministic(t *testing.T) {
 	spans := fleetSpans()
 	var a, b bytes.Buffer
