@@ -17,11 +17,8 @@
 // compared only with -wall, at its own threshold (-wall-threshold,
 // default 25%) above a noise floor (-min-wall, default 0.5 s).
 //
-// Histories written by fleet workers (wardenfleet; internal/fleet) are
-// accepted unchanged: their records carry an additive worker-provenance
-// field that pairing and comparison ignore, and their fingerprints use the
-// same derivation as single-process runs, so a distributed sweep gates
-// against the same committed baselines.
+// Older histories whose records carry the legacy worker-provenance field
+// are accepted unchanged: pairing and comparison ignore it.
 //
 // Exit status: 0 no regression, 1 regression detected, 2 usage or I/O
 // error.

@@ -8,8 +8,6 @@
 //	wardenreport -benchmark dedup -protocol warden -o d.html # single run
 //	wardenreport -benchmark primes -trace-out traces -o p.html
 //	wardenreport -validate results/traces/primes_warden_xeon-gold-6126-2s_10000.trace.json
-//	wardenreport -metrics http://host:9090/metrics -o obs.html
-//	wardenreport -metrics scrape.txt -o obs.html
 //
 // Run mode simulates the benchmark with the full telemetry capture attached
 // (cycle windows, phase accounting, sharing heatmap) and writes one HTML
@@ -23,18 +21,12 @@
 // (per-track monotonic timestamps, balanced and name-matched B/E pairs,
 // non-negative durations), and prints its shape; a malformed trace exits
 // non-zero.
-//
-// Metrics mode renders a coordinator's operational state as HTML without
-// simulating anything: it parses a Prometheus text scrape — a live
-// /metrics URL or a saved file — and reports the warden_fleet_span_seconds_*
-// duration histograms plus the memo and fleet result-cache hit-rates.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"path/filepath"
 	"sort"
@@ -44,7 +36,6 @@ import (
 	"warden/internal/core"
 	"warden/internal/hlpl"
 	"warden/internal/machine"
-	"warden/internal/obs"
 	"warden/internal/pbbs"
 	"warden/internal/protocols"
 	"warden/internal/telemetry"
@@ -62,8 +53,6 @@ func main() {
 	traceGz := flag.Bool("trace-gz", false, "gzip-compress the Perfetto traces (suffix .gz); -validate reads both forms")
 	window := flag.Uint64("window", 0, "telemetry sampling window width in simulated cycles (0 = default)")
 	validate := flag.String("validate", "", "validate a Perfetto trace_event JSON file and print its shape (no simulation)")
-	metrics := flag.String("metrics", "",
-		"render a host-observability report (fleet span histograms, cache hit-rates) from a Prometheus text scrape: a file path or an http(s) /metrics URL (no simulation)")
 	flag.Parse()
 
 	if *validate != "" {
@@ -71,14 +60,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "wardenreport: %s: %v\n", *validate, err)
 			os.Exit(1)
 		}
-		return
-	}
-	if *metrics != "" {
-		if err := runMetrics(*metrics, *out); err != nil {
-			fmt.Fprintf(os.Stderr, "wardenreport: %s: %v\n", *metrics, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wardenreport: wrote %s\n", *out)
 		return
 	}
 	if *benchmark == "" {
@@ -174,76 +155,6 @@ func observe(cfg topology.Config, proto core.Protocol, e pbbs.Entry, n int, size
 		Counters:  res.Counters,
 		Capture:   cap,
 	}, nil
-}
-
-// runMetrics renders the host-observability report: parse a Prometheus
-// text scrape (a saved file or a live /metrics endpoint), fold the fleet
-// span-duration histograms and the memo/fleet cache counters into views,
-// and write them as a self-contained HTML document.
-func runMetrics(source, out string) error {
-	var r io.ReadCloser
-	if strings.HasPrefix(source, "http://") || strings.HasPrefix(source, "https://") {
-		resp, err := http.Get(source)
-		if err != nil {
-			return err
-		}
-		if resp.StatusCode != http.StatusOK {
-			resp.Body.Close()
-			return fmt.Errorf("GET %s: %s", source, resp.Status)
-		}
-		r = resp.Body
-	} else {
-		f, err := os.Open(source)
-		if err != nil {
-			return err
-		}
-		r = f
-	}
-	fams, err := obs.ParseText(r)
-	r.Close()
-	if err != nil {
-		return err
-	}
-
-	view := &telemetry.ObsView{Source: source}
-	for _, f := range obs.HistogramFamilies(fams, "warden_fleet_span_seconds_") {
-		h := telemetry.HistView{Name: f.Name}
-		var prev uint64
-		for _, m := range f.Metrics {
-			switch m.Suffix {
-			case "_bucket":
-				// Exposition buckets are cumulative; the table shows each
-				// bucket's own observations.
-				c := uint64(m.Value)
-				h.Rows = append(h.Rows, telemetry.HistRow{LE: obs.LabelValue(m, "le"), Count: c - prev})
-				prev = c
-			case "_sum":
-				h.Sum = m.Value
-			case "_count":
-				h.Count = uint64(m.Value)
-			}
-		}
-		view.Hists = append(view.Hists, h)
-	}
-	for _, c := range []struct{ name, prefix string }{
-		{"simulation memo", "warden_memo"},
-		{"fleet result cache", "warden_fleet_cache"},
-	} {
-		if s, ok := obs.CacheStatsFrom(fams, c.prefix); ok {
-			view.Caches = append(view.Caches, telemetry.CacheView{
-				Name: c.name, Hits: s.Hits, Misses: s.Misses, Entries: uint64(s.Entries)})
-		}
-	}
-
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	werr := telemetry.WriteObsHTML(f, "fleet observability: "+source, view)
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	return werr
 }
 
 // runValidate checks one Perfetto trace file and prints its shape. Gzip

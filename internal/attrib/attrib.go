@@ -301,39 +301,6 @@ func (l *Ledger) Reconcile(total uint64) error {
 // Reconciled reports whether Reconcile has succeeded, and for what total.
 func (l *Ledger) Reconciled() (uint64, bool) { return l.reconFor, l.reconOK }
 
-// KindShares aggregates cycles per event kind over all threads and returns
-// (kind name, cycles) rows sorted by cycles descending, plus the total.
-func (l *Ledger) KindShares() (rows []KindShare, total uint64) {
-	for k, v := range l.perKind {
-		rows = append(rows, KindShare{Kind: k.String(), Cycles: v})
-		total += v
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Cycles != rows[j].Cycles {
-			return rows[i].Cycles > rows[j].Cycles
-		}
-		return rows[i].Kind < rows[j].Kind
-	})
-	return rows, total
-}
-
-// KindShare is one per-kind aggregate.
-type KindShare struct {
-	Kind   string `json:"kind"`
-	Cycles uint64 `json:"cycles"`
-}
-
-// TopKind returns the event kind with the most attributed cycles and its
-// share of all attributed cycles — the summary a fleet worker ships back
-// with each result. Empty when nothing was attributed.
-func (l *Ledger) TopKind() (kind string, share float64) {
-	rows, total := l.KindShares()
-	if len(rows) == 0 || total == 0 {
-		return "", 0
-	}
-	return rows[0].Kind, float64(rows[0].Cycles) / float64(total)
-}
-
 // accountJSON is the JSONL artifact row for one account.
 type accountJSON struct {
 	Thread int    `json:"thread"`

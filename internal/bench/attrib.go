@@ -125,7 +125,7 @@ func (r *Runner) runInstrumented(cfg topology.Config, proto core.Protocol, e pbb
 		sinks = append(sinks, led)
 	}
 	res, err := runObserved(cfg, proto, e, size, opts, r.Engine,
-		func(*machine.Machine) core.Sink { return core.Sinks(sinks...) }, r.probe, nil)
+		func(*machine.Machine) core.Sink { return core.Sinks(sinks...) }, r.probe)
 	if cap != nil {
 		if cerr := cap.Close(); err == nil && cerr != nil {
 			err = fmt.Errorf("bench: telemetry trace: %w", cerr)

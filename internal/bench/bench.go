@@ -41,7 +41,7 @@ func (r Result) IPC() float64 { return r.Counters.IPC(r.Cycles) }
 // returns its measurements. Results are verified; a verification failure is
 // an error (a coherence bug, not a measurement).
 func RunOne(cfg topology.Config, proto core.Protocol, entry pbbs.Entry, size int, opts hlpl.Options) (Result, error) {
-	return runObserved(cfg, proto, entry, size, opts, machine.EngineSequential, nil, nil, nil)
+	return runObserved(cfg, proto, entry, size, opts, machine.EngineSequential, nil, nil)
 }
 
 // Comparison is one benchmark's MESI-vs-WARDen measurement pair with the
@@ -220,21 +220,22 @@ func (r *Runner) SetObserver(reg *obs.Registry) { r.reg = reg }
 func (r *Runner) MemoStats() runner.MemoStats { return r.memo.Stats() }
 
 // MetricFamilies implements obs.Source: memo-cache effectiveness and the
-// uncached-simulation totals, for /metrics. The memo families go through
-// obs.CacheFamilies, the same surface the fleet coordinator's result cache
-// uses, so local and distributed cache behaviour read identically on a
-// dashboard (warden_memo_* vs warden_fleet_cache_*).
+// uncached-simulation totals, for /metrics.
 func (r *Runner) MetricFamilies() []obs.Family {
 	ms := r.memo.Stats()
 	cycles, runs := r.SimulatedCycles()
-	fams := obs.CacheFamilies("warden_memo", "Simulation memo",
-		obs.CacheStats{Hits: ms.Hits, Misses: ms.Misses, Entries: ms.Entries})
-	fams = append(fams,
+	fams := []obs.Family{
+		obs.Counter("warden_memo_hits_total",
+			"Simulation memo lookups satisfied by an existing entry.", float64(ms.Hits)),
+		obs.Counter("warden_memo_misses_total",
+			"Simulation memo lookups that missed and had to compute.", float64(ms.Misses)),
+		obs.Gauge("warden_memo_entries",
+			"Distinct Simulation memo entries cached.", float64(ms.Entries)),
 		obs.Counter("warden_sim_completed_cycles_total",
 			"Simulated cycles of completed uncached simulations.", float64(cycles)),
 		obs.Counter("warden_sim_completed_runs_total",
 			"Completed uncached simulations.", float64(runs)),
-	)
+	}
 	return append(fams, r.attribCtr.families()...)
 }
 
@@ -294,7 +295,7 @@ func (r *Runner) runWith(cfg topology.Config, proto core.Protocol, e pbbs.Entry,
 		if r.tele.Dir != "" || r.attrib.Dir != "" {
 			res, err = r.runInstrumented(cfg, proto, e, size, opts, run)
 		} else {
-			res, err = runObserved(cfg, proto, e, size, opts, r.Engine, nil, r.probe, nil)
+			res, err = runObserved(cfg, proto, e, size, opts, r.Engine, nil, r.probe)
 		}
 		if run != nil {
 			if err == nil {

@@ -25,60 +25,34 @@ import (
 // The sink sees the full run including the final drain; it is detached
 // before verification so host-side checks don't pollute the stream.
 func RunOneObserved(cfg topology.Config, proto core.Protocol, entry pbbs.Entry, size int, opts hlpl.Options, attach func(*machine.Machine) core.Sink) (Result, error) {
-	return runObserved(cfg, proto, entry, size, opts, machine.EngineSequential, attach, nil, nil)
+	return runObserved(cfg, proto, entry, size, opts, machine.EngineSequential, attach, nil)
 }
 
 // RunOneObservedOn is RunOneObserved under an explicit engine mode. Both
 // modes produce byte-identical results (the PDES differential suite
 // asserts it); the mode only selects how the simulation uses host cores.
 func RunOneObservedOn(emode machine.EngineMode, cfg topology.Config, proto core.Protocol, entry pbbs.Entry, size int, opts hlpl.Options, attach func(*machine.Machine) core.Sink) (Result, error) {
-	return runObserved(cfg, proto, entry, size, opts, emode, attach, nil, nil)
+	return runObserved(cfg, proto, entry, size, opts, emode, attach, nil)
 }
 
-// RunOneProbed is RunOne with a live progress probe attached to the
-// machine's engine — the wardensim -serve path. The probe is host-visible
-// only; results are identical to RunOne's.
-func RunOneProbed(cfg topology.Config, proto core.Protocol, entry pbbs.Entry, size int, opts hlpl.Options, probe *engine.Probe) (Result, error) {
-	return runObserved(cfg, proto, entry, size, opts, machine.EngineSequential, nil, probe, nil)
-}
-
-// RunOneProbedOn is RunOneProbed under an explicit engine mode (the
-// wardensim -engine flag).
+// RunOneProbedOn is RunOne under an explicit engine mode with a live
+// progress probe attached to the machine's engine — the wardensim -serve
+// and -engine path. The probe is host-visible only; results are identical
+// to RunOne's.
 func RunOneProbedOn(emode machine.EngineMode, cfg topology.Config, proto core.Protocol, entry pbbs.Entry, size int, opts hlpl.Options, probe *engine.Probe) (Result, error) {
-	return runObserved(cfg, proto, entry, size, opts, emode, nil, probe, nil)
-}
-
-// RunOneTracedOn is RunOneProbedOn with a host-side PDES epoch hook
-// attached (see engine.EpochEvent) — the fleet worker's span-tracing
-// path. The hook observes scheduler phase boundaries only and cannot
-// change a measurement; it never fires under the sequential engine. A
-// nil hook makes this identical to RunOneProbedOn.
-func RunOneTracedOn(emode machine.EngineMode, cfg topology.Config, proto core.Protocol, entry pbbs.Entry, size int, opts hlpl.Options, probe *engine.Probe, hook func(engine.EpochEvent)) (Result, error) {
-	return runObserved(cfg, proto, entry, size, opts, emode, nil, probe, hook)
-}
-
-// RunOneInstrumentedOn is the fully-loaded entry point: an event sink, a
-// progress probe, and a PDES epoch hook together — the fleet worker's
-// attribution path. Every attachment is pure observation, so results are
-// identical to RunOne's.
-func RunOneInstrumentedOn(emode machine.EngineMode, cfg topology.Config, proto core.Protocol, entry pbbs.Entry, size int, opts hlpl.Options, attach func(*machine.Machine) core.Sink, probe *engine.Probe, hook func(engine.EpochEvent)) (Result, error) {
-	return runObserved(cfg, proto, entry, size, opts, emode, attach, probe, hook)
+	return runObserved(cfg, proto, entry, size, opts, emode, nil, probe)
 }
 
 // runObserved is the common simulation core behind RunOne, RunOneObserved,
-// and RunOneProbed: build the machine, optionally attach a sink, a
-// progress probe, and/or an epoch hook, run, verify, measure. No
-// attachment can change a measurement — the sink path is event emission
-// only, the probe is a pair of host-side atomics, and the epoch hook
-// fires on the scheduler goroutine at phase boundaries.
-func runObserved(cfg topology.Config, proto core.Protocol, entry pbbs.Entry, size int, opts hlpl.Options, emode machine.EngineMode, attach func(*machine.Machine) core.Sink, probe *engine.Probe, hook func(engine.EpochEvent)) (Result, error) {
+// and RunOneProbedOn: build the machine, optionally attach a sink and/or a
+// progress probe, run, verify, measure. No attachment can change a
+// measurement — the sink path is event emission only, and the probe is a
+// pair of host-side atomics.
+func runObserved(cfg topology.Config, proto core.Protocol, entry pbbs.Entry, size int, opts hlpl.Options, emode machine.EngineMode, attach func(*machine.Machine) core.Sink, probe *engine.Probe) (Result, error) {
 	m := machine.New(cfg, proto)
 	m.SetEngineMode(emode)
 	if probe != nil {
 		m.SetProbe(probe)
-	}
-	if hook != nil {
-		m.SetEpochHook(hook)
 	}
 	if attach != nil {
 		m.System().SetSink(attach(m))

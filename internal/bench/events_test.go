@@ -8,6 +8,7 @@ import (
 	"warden/internal/hlpl"
 	"warden/internal/machine"
 	"warden/internal/pbbs"
+	"warden/internal/stats"
 	"warden/internal/topology"
 )
 
@@ -82,6 +83,64 @@ func TestObservedMatchesUnobserved(t *testing.T) {
 		}
 		if met.Events == 0 {
 			t.Fatal("metrics sink observed no events")
+		}
+	}
+}
+
+// deltaSum sums the counter deltas of instruction-level events; the
+// protocol-internal events nest inside them and would double count.
+type deltaSum struct{ s stats.Snapshot }
+
+func (d *deltaSum) Event(ev *core.Event) {
+	if !ev.Kind.Instruction() {
+		return
+	}
+	c, s := &ev.Ctrs, &d.s
+	s.L1Accesses += c.L1Accesses
+	s.L1Hits += c.L1Hits
+	s.L2Accesses += c.L2Accesses
+	s.L2Hits += c.L2Hits
+	s.L3Accesses += c.L3Accesses
+	s.L3Hits += c.L3Hits
+	s.DirAccesses += c.DirAccesses
+	s.DRAMAccesses += c.DRAMAccesses
+	s.Invalidations += c.Invalidations
+	s.Downgrades += c.Downgrades
+	for i := range s.Msgs {
+		s.Msgs[i] += c.Msgs[i]
+	}
+	s.NoCFlitHops += c.NoCFlitHops
+	s.IntersocketFlits += c.IntersocketFlits
+	s.WardAccesses += c.WardAccesses
+	s.ReconciledBlocks += c.ReconciledBlocks
+	s.ReconciledSectors += c.ReconciledSectors
+}
+
+// TestEventDeltasPartitionCounters checks the event stream's accounting
+// identity: the counter deltas carried by instruction-level events (the
+// final EvDrain included) sum to the run's end-of-run counters, field for
+// field, for every registered protocol on one and two sockets.
+func TestEventDeltasPartitionCounters(t *testing.T) {
+	for _, sockets := range []int{1, 2} {
+		cfg := topology.XeonGold6126(sockets)
+		cfg.CoresPerSocket = 4
+		for _, name := range []string{"primes", "dedup", "msort", "fib"} {
+			e, err := pbbs.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, proto := range core.All() {
+				sum := &deltaSum{}
+				res, err := RunOneObserved(cfg, proto, e, e.Small, hlpl.DefaultOptions(),
+					func(*machine.Machine) core.Sink { return sum })
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := res.Counters.Snap(); sum.s != want {
+					t.Errorf("%s/%v/%d sockets: event deltas do not sum to the counters:\ndeltas:   %+v\ncounters: %+v",
+						name, proto, sockets, sum.s, want)
+				}
+			}
 		}
 	}
 }

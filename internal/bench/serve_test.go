@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -112,5 +113,34 @@ func TestServeScrapeNonPerturbing(t *testing.T) {
 	}
 	if total != bareCycles {
 		t.Fatalf("registry cycles sum %d != simulated total %d", total, bareCycles)
+	}
+}
+
+// TestMemoFamiliesExposition pins the runner's memo-cache families on
+// /metrics byte for byte, HELP and TYPE lines included: scrapes and the
+// CI smoke check key on these names.
+func TestMemoFamiliesExposition(t *testing.T) {
+	r := NewRunner(Small)
+	for _, key := range []string{"a", "a", "b"} {
+		if _, err := r.memo.Do(key, func() (Result, error) { return Result{}, nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := obs.WriteFamilies(&buf, r.MetricFamilies()); err != nil {
+		t.Fatal(err)
+	}
+	const want = `# HELP warden_memo_entries Distinct Simulation memo entries cached.
+# TYPE warden_memo_entries gauge
+warden_memo_entries 2
+# HELP warden_memo_hits_total Simulation memo lookups satisfied by an existing entry.
+# TYPE warden_memo_hits_total counter
+warden_memo_hits_total 1
+# HELP warden_memo_misses_total Simulation memo lookups that missed and had to compute.
+# TYPE warden_memo_misses_total counter
+warden_memo_misses_total 2
+`
+	if !strings.Contains(buf.String(), want) {
+		t.Fatalf("memo families missing or changed; want\n%s\ngot\n%s", want, buf.String())
 	}
 }

@@ -211,9 +211,8 @@ type Engine struct {
 	ran bool
 
 	// PDES scheduler state (nil selects the sequential scheduler).
-	pdes      *PDESConfig
-	parkc     chan pdesMsg // running threads report park/exit/panic here
-	epochHook func(EpochEvent)
+	pdes  *PDESConfig
+	parkc chan pdesMsg // running threads report park/exit/panic here
 
 	// Serial-drain state for the current epoch, owned by whichever
 	// goroutine holds the drain baton: the one live serial thread, or the

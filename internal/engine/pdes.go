@@ -84,37 +84,6 @@ type PDESConfig struct {
 	Flush func(maxCycle uint64, maxID int)
 }
 
-// EpochEvent marks a PDES scheduler phase boundary: the hook installed
-// with SetEpochHook receives one Begin=true event when a phase opens and
-// one Begin=false event when it closes. Events fire on the scheduler's
-// own goroutine — phase 1 events while every simulated thread is parked
-// or about to be released, phase 2 events before the drain is seeded and
-// after it runs dry — so the hook observes the engine, never the other
-// way around: it cannot reorder an op, advance a clock, or touch
-// simulated state, and a nil hook costs one predictable branch per phase.
-type EpochEvent struct {
-	// Epoch is the 0-based epoch ordinal for this Run.
-	Epoch int
-	// Phase is 1 (parallel local window) or 2 (serial drain).
-	Phase int
-	// Begin is true at phase open, false at phase close.
-	Begin bool
-	// Clock is the epoch's base simulated time T (the minimum parked
-	// (clock, id) when the epoch opened).
-	Clock uint64
-	// Horizon is the epoch horizon H: ops with clock < H may execute.
-	Horizon uint64
-	// Threads is the number of threads released in phase 1; 0 in phase 2
-	// events (the drain wakes threads one at a time).
-	Threads int
-}
-
-// SetEpochHook installs a host-side observer of PDES epoch phase
-// boundaries. Call before Run; nil (the default) disables the hook with
-// no per-op cost. The sequential scheduler has no epochs and never fires
-// the hook. The hook must not call back into the engine.
-func (e *Engine) SetEpochHook(h func(EpochEvent)) { e.epochHook = h }
-
 // SetPDES selects the conservative PDES scheduler for this engine's Run.
 // Call before Run. The handler passed to New still executes every global
 // op; cfg.Local executes ops marked LocalOp.
@@ -273,7 +242,6 @@ func (e *Engine) runPDES() (uint64, error) {
 		}
 	}
 
-	epoch := 0
 	for {
 		if live == 0 {
 			finalFlush()
@@ -313,14 +281,7 @@ func (e *Engine) runPDES() (uint64, error) {
 				runnable++
 			}
 		}
-		// Capture the epoch base before any thread runs: minT's clock
-		// advances during the phases below.
-		baseT := minT.now
 		if e.procs > 1 && runnable >= 2 {
-			if hk := e.epochHook; hk != nil {
-				hk(EpochEvent{Epoch: epoch, Phase: 1, Begin: true,
-					Clock: baseT, Horizon: h, Threads: runnable})
-			}
 			// Phase 1: release every thread whose pending op is local and
 			// whose clock is inside the window; they run concurrently.
 			released := 0
@@ -365,10 +326,6 @@ func (e *Engine) runPDES() (uint64, error) {
 				}
 				panic(min.panicv)
 			}
-			if hk := e.epochHook; hk != nil {
-				hk(EpochEvent{Epoch: epoch, Phase: 1, Begin: false,
-					Clock: baseT, Horizon: h, Threads: runnable})
-			}
 		}
 
 		// Phase 2: serial drain below the horizon, smallest (clock, id)
@@ -379,9 +336,6 @@ func (e *Engine) runPDES() (uint64, error) {
 		// after that each parking thread wakes its successor directly, and
 		// the coordinator hears back on a thread exit, a panic, or the
 		// drain running dry (the baton-holder found no successor).
-		if hk := e.epochHook; hk != nil {
-			hk(EpochEvent{Epoch: epoch, Phase: 2, Begin: true, Clock: baseT, Horizon: h})
-		}
 		e.drainH = h
 		for _, t := range parked {
 			e.drainHeap.push(t)
@@ -411,9 +365,5 @@ func (e *Engine) runPDES() (uint64, error) {
 			e.drainHeap.a[i] = nil
 		}
 		e.drainHeap.a = e.drainHeap.a[:0]
-		if hk := e.epochHook; hk != nil {
-			hk(EpochEvent{Epoch: epoch, Phase: 2, Begin: false, Clock: baseT, Horizon: h})
-		}
-		epoch++
 	}
 }

@@ -100,13 +100,6 @@ func (m *Machine) SetMaxCycles(c uint64) { m.eng.MaxCycles = c }
 // Call before Run.
 func (m *Machine) SetProbe(p *engine.Probe) { m.eng.SetProbe(p) }
 
-// SetEpochHook attaches a host-side observer of PDES epoch phase
-// boundaries to the machine's engine (see engine.SetEpochHook). Like the
-// probe it is host-visible only: the hook fires on the scheduler
-// goroutine at phase open/close and cannot change simulated results. It
-// only fires under EnginePDES. Call before Run.
-func (m *Machine) SetEpochHook(h func(engine.EpochEvent)) { m.eng.SetEpochHook(h) }
-
 // Run executes bodies (one per hardware thread; len must equal
 // Config().Threads()) to completion, drains all caches so memory is
 // coherent, and returns total cycles.

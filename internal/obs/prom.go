@@ -29,15 +29,6 @@ type Label struct {
 type Metric struct {
 	Labels []Label
 	Value  float64
-	// Suffix, when non-empty, is appended to the family name to form the
-	// sample name — how a histogram family emits its _bucket/_sum/_count
-	// series under one TYPE line.
-	Suffix string
-	// Seq orders samples within a family ahead of the label-block sort:
-	// lower Seq renders first. Histograms use it to keep buckets in
-	// ascending-le order with _sum and _count last; the zero value keeps
-	// plain families in pure label order.
-	Seq int
 }
 
 // Family is a named group of samples sharing HELP and TYPE metadata, the
@@ -203,23 +194,16 @@ func WriteFamilies(w io.Writer, families []Family) error {
 			return err
 		}
 		type sample struct {
-			suffix string
-			seq    int
 			labels string
 			value  float64
 		}
 		samples := make([]sample, len(f.Metrics))
 		for i, m := range f.Metrics {
-			samples[i] = sample{m.Suffix, m.Seq, renderLabels(m.Labels), m.Value}
+			samples[i] = sample{renderLabels(m.Labels), m.Value}
 		}
-		sort.SliceStable(samples, func(i, j int) bool {
-			if samples[i].seq != samples[j].seq {
-				return samples[i].seq < samples[j].seq
-			}
-			return samples[i].labels < samples[j].labels
-		})
+		sort.SliceStable(samples, func(i, j int) bool { return samples[i].labels < samples[j].labels })
 		for _, s := range samples {
-			if _, err := fmt.Fprintf(w, "%s%s%s %s\n", name, s.suffix, s.labels, formatValue(s.value)); err != nil {
+			if _, err := fmt.Fprintf(w, "%s%s %s\n", name, s.labels, formatValue(s.value)); err != nil {
 				return err
 			}
 		}

@@ -83,6 +83,22 @@ func TestWriteFamiliesDeterministicOrdering(t *testing.T) {
 	}
 }
 
+func TestMetricSuffixAndSeqDoNotDisturbPlainFamilies(t *testing.T) {
+	// Metric once carried Suffix/Seq sort keys for histogram families. A
+	// plain family must still render byte for byte as it did alongside
+	// them: sorted purely by label block, whatever the input order.
+	out := render(t, []Family{{Name: "warden_plain", Type: "gauge", Metrics: []Metric{
+		{Labels: []Label{{Name: "x", Value: "b"}}, Value: 2},
+		{Labels: []Label{{Name: "x", Value: "a"}}, Value: 1},
+	}}})
+	want := "# TYPE warden_plain gauge\n" +
+		"warden_plain{x=\"a\"} 1\n" +
+		"warden_plain{x=\"b\"} 2\n"
+	if out != want {
+		t.Fatalf("plain family ordering changed:\ngot:\n%s\nwant:\n%s", out, want)
+	}
+}
+
 func TestWriteFamiliesMergesDuplicateNames(t *testing.T) {
 	out := render(t, []Family{
 		Counter("warden_dup_total", "first help", 1, Label{Name: "a", Value: "1"}),

@@ -16,11 +16,9 @@ import (
 // context, stop restores default delivery so a second signal terminates a
 // process that fails to drain.
 //
-// CLIs use it two ways: long-running services (the fleet coordinator and
-// workers) wrap their whole run in it, while wardenbench/wardensim install
-// it only around -serve-linger so a Ctrl-C during the lingering window
-// cuts the wait short instead of killing the process with connections
-// mid-flight.
+// wardenbench and wardensim install it around -serve-linger, so a Ctrl-C
+// during the lingering window cuts the wait short instead of killing the
+// process with connections mid-flight.
 func SignalContext(parent context.Context) (context.Context, context.CancelFunc) {
 	return signal.NotifyContext(parent, os.Interrupt, syscall.SIGTERM)
 }

@@ -102,27 +102,3 @@ func TestDrainForcesCloseOnDeadline(t *testing.T) {
 		t.Fatal("drain of a stuck handler returned nil, want deadline error")
 	}
 }
-
-// TestCacheFamiliesShape pins the shared cache metrics surface: three
-// families under the given prefix with the hit/miss/entry values.
-func TestCacheFamiliesShape(t *testing.T) {
-	fams := CacheFamilies("warden_fleet_cache", "Fleet result cache",
-		CacheStats{Hits: 7, Misses: 3, Entries: 5})
-	want := map[string]float64{
-		"warden_fleet_cache_hits_total":   7,
-		"warden_fleet_cache_misses_total": 3,
-		"warden_fleet_cache_entries":      5,
-	}
-	if len(fams) != len(want) {
-		t.Fatalf("got %d families, want %d", len(fams), len(want))
-	}
-	for _, f := range fams {
-		v, ok := want[f.Name]
-		if !ok {
-			t.Fatalf("unexpected family %q", f.Name)
-		}
-		if len(f.Metrics) != 1 || f.Metrics[0].Value != v {
-			t.Fatalf("family %q = %+v, want single sample %v", f.Name, f.Metrics, v)
-		}
-	}
-}

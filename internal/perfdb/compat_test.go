@@ -35,12 +35,11 @@ func TestBaselineFingerprintsStable(t *testing.T) {
 	}
 }
 
-// TestBaselineRoundTripsByteStable proves the fleet-era Worker field is a
-// purely additive schema change: every committed baseline line — all of
-// which predate the field — decodes and re-encodes to exactly its original
-// bytes, so pre-fleet history files are untouched by the new reader and
-// writer. (Fleet-produced records carry "worker"; single-process ones
-// never gain the key.)
+// TestBaselineRoundTripsByteStable proves the legacy Worker and
+// attribution fields are purely additive: every committed baseline line —
+// none of which carries them — decodes and re-encodes to exactly its
+// original bytes, so such history files are untouched by the reader and
+// writer. (Single-process records never gain the keys.)
 func TestBaselineRoundTripsByteStable(t *testing.T) {
 	f, err := os.Open(filepath.Join("..", "..", "perf", "baseline.jsonl"))
 	if err != nil {
@@ -61,7 +60,7 @@ func TestBaselineRoundTripsByteStable(t *testing.T) {
 			t.Fatalf("baseline line %d: %v", line, err)
 		}
 		if rec.Worker != "" {
-			t.Fatalf("baseline line %d: pre-fleet record decoded a worker id %q", line, rec.Worker)
+			t.Fatalf("baseline line %d: baseline record decoded a worker id %q", line, rec.Worker)
 		}
 		if rec.AttribTopKind != "" || rec.AttribTopShare != 0 || rec.AttribResidue != 0 {
 			t.Fatalf("baseline line %d: pre-attribution record decoded attribution fields: %+v", line, rec)
@@ -82,8 +81,8 @@ func TestBaselineRoundTripsByteStable(t *testing.T) {
 	}
 }
 
-// TestWorkerFieldTolerated pins the wardendiff-facing contract for
-// fleet-produced records: the worker id parses, survives a round trip, and
+// TestWorkerFieldTolerated pins the wardendiff-facing contract for legacy
+// records that carry a worker id: it parses, survives a round trip, and
 // never participates in snapshot pairing or step comparison.
 func TestWorkerFieldTolerated(t *testing.T) {
 	const in = `{"schema":1,"run_id":"J1","fingerprint":"fp","step":"primes/MESI","simulated_cycles":42,"simulated_runs":1,"wall_seconds":0.5,"cycles_per_second":84,"worker":"w1"}`
@@ -105,7 +104,7 @@ func TestWorkerFieldTolerated(t *testing.T) {
 		t.Fatalf("worker-bearing record not byte-stable:\n old %s\n new %s", in, out)
 	}
 
-	// Comparison is worker-blind: a fleet snapshot gates against a
+	// Comparison is worker-blind: a worker-tagged snapshot gates against a
 	// single-process baseline of the same fingerprint with no deltas beyond
 	// the measurements themselves.
 	base := perfdb.Snapshot{RunID: "base", Fingerprint: "fp",
@@ -120,9 +119,9 @@ func TestWorkerFieldTolerated(t *testing.T) {
 	}
 }
 
-// TestAttribFieldsTolerated pins the contract for the attribution summary
-// fields (wardenbench -attrib, attribution-enabled fleet workers): they
-// parse, survive a round trip byte-identically, and never participate in
+// TestAttribFieldsTolerated pins the contract for the legacy attribution
+// summary fields, which older history written by remote workers carries:
+// they parse, survive a round trip byte-identically, and never participate in
 // fingerprint pairing or step comparison — wardendiff gates on the
 // measurements alone.
 func TestAttribFieldsTolerated(t *testing.T) {

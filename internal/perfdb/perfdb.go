@@ -55,23 +55,21 @@ type Record struct {
 	HostAllocBytes  uint64  `json:"host_alloc_bytes,omitempty"` // bytes allocated during the step
 	HostHeapBytes   uint64  `json:"host_heap_bytes,omitempty"`  // live heap at step end
 
-	// Worker names the fleet worker that executed the step when the record
-	// was produced by a distributed sweep (internal/fleet); empty for
-	// single-process runs. It is provenance only: fingerprints and the
-	// wardendiff pairing/compare logic ignore it, and the field is additive
-	// (omitempty, schema version unchanged) so pre-fleet history — including
-	// the committed perf/baseline.jsonl — round-trips byte-identically.
+	// Worker is legacy provenance: the name of the remote worker that
+	// executed the step, in history written by the since-removed
+	// distributed sweep runner. Nothing writes it any more; it stays so
+	// such history still round-trips byte-identically. Fingerprints and the
+	// wardendiff pairing/compare logic ignore it, and omitempty keeps it
+	// out of every other record, including the committed
+	// perf/baseline.jsonl.
 	Worker string `json:"worker,omitempty"`
 
-	// Attribution summary (wardenbench -attrib / fleet workers with
-	// attribution enabled): the event kind holding the largest share of
-	// attributed cycles and that share of the total. AttribResidue is the
-	// reconciliation residue in cycles and is 0 by construction — a run
-	// whose ledger does not sum exactly to its measured cycles fails
-	// instead of producing a record. All three are additive (omitempty,
-	// schema version unchanged): pre-attribution history, including the
-	// committed perf/baseline.jsonl, round-trips byte-identically, and
-	// wardendiff ignores them.
+	// Attribution summary, also legacy provenance from the same remote
+	// workers: the event kind holding the largest share of attributed
+	// cycles, that share of the total, and the reconciliation residue
+	// (0 by construction). Nothing writes them any more; like Worker they
+	// stay so older history round-trips byte-identically, and wardendiff
+	// ignores them.
 	AttribTopKind  string  `json:"attrib_top_kind,omitempty"`
 	AttribTopShare float64 `json:"attrib_top_share,omitempty"`
 	AttribResidue  int64   `json:"attrib_residue,omitempty"`

@@ -127,8 +127,8 @@ func cut(base, other uint64) float64 {
 	return 1 - float64(other)/float64(base)
 }
 
-// reportCSS is the shared stylesheet of every HTML artifact (run reports,
-// the attribution explainer, the observability section).
+// reportCSS is the shared stylesheet of every HTML artifact (run reports
+// and the attribution explainer).
 const reportCSS = `
 body { font: 14px/1.45 system-ui, sans-serif; margin: 2rem auto; max-width: 72rem; color: #111; }
 h1 { font-size: 1.4rem; } h2 { font-size: 1.15rem; margin-top: 2rem; } h3 { font-size: 1rem; }

@@ -2,6 +2,8 @@ package telemetry
 
 import (
 	"bytes"
+	"compress/gzip"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -10,6 +12,7 @@ import (
 	"warden/internal/machine"
 	"warden/internal/pbbs"
 	"warden/internal/topology"
+	"warden/internal/trace"
 )
 
 func testCfg() topology.Config {
@@ -219,6 +222,37 @@ func TestPerfettoTraceValidates(t *testing.T) {
 	}
 	if st.InPhase < st.OutOfPhase {
 		t.Errorf("more coherence events outside phases (%d) than inside (%d)", st.OutOfPhase, st.InPhase)
+	}
+}
+
+// TestGzipTraceRoundTrip proves the wardenreport -validate path is gzip
+// transparent: a compressed trace validates identically to the plain one
+// through trace.Reader's magic-byte sniffing.
+func TestGzipTraceRoundTrip(t *testing.T) {
+	var plain bytes.Buffer
+	_, _ = runObserved(t, core.WARDen, "primes", 2000, &plain)
+	want, err := ValidatePerfetto(bytes.NewReader(plain.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gz bytes.Buffer
+	zw := gzip.NewWriter(&gz)
+	if _, err := zw.Write(plain.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := trace.Reader(bytes.NewReader(gz.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ValidatePerfetto(r)
+	if err != nil {
+		t.Fatalf("gzip trace fails validation: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) || got.Slices == 0 {
+		t.Fatalf("gzip round trip changed the trace: got %+v, want %+v", got, want)
 	}
 }
 
