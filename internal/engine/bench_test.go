@@ -8,16 +8,38 @@ import (
 
 // BenchmarkEngineOpOverhead measures the engine's per-operation host cost
 // with a trivial handler. threads=1 exercises the inline-lease fast path
-// (the thread owns an infinite horizon, so Call never parks); higher
-// thread counts advance in lockstep, forcing a park and resume on every
-// operation — the slow path's upper bound.
+// (the thread's lease never ends, so Call never parks); higher thread
+// counts advance in lockstep, forcing a park and resume on every
+// operation — the slow path's upper bound. The spin cases run the same
+// lockstep loop through Thread.Spin, so the hub executes every op and
+// calls the step function without resuming any coroutine.
 func BenchmarkEngineOpOverhead(b *testing.B) {
-	for _, threads := range []int{1, 4, 24} {
-		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
+	cases := []struct {
+		threads int
+		spin    bool
+	}{{1, false}, {4, false}, {24, false}, {4, true}, {24, true}}
+	for _, c := range cases {
+		name := fmt.Sprintf("threads=%d", c.threads)
+		if c.spin {
+			name = "spin/" + name
+		}
+		b.Run(name, func(b *testing.B) {
+			threads := c.threads
 			e := New(threads, func(t *Thread, op Op) uint64 { return 1 })
 			per := b.N/threads + 1
 			for id := 0; id < threads; id++ {
 				e.SetBody(id, func(t *Thread) {
+					if c.spin {
+						i := 0
+						t.Spin(func() Op {
+							if i == per {
+								return nil
+							}
+							i++
+							return simpleOp(0)
+						})
+						return
+					}
 					for i := 0; i < per; i++ {
 						t.Call(nil)
 					}

@@ -18,28 +18,48 @@
 // locks anywhere — and every run of the same program is bit-identical,
 // which the test suite asserts.
 //
-// Each thread body runs as an iter.Pull coroutine. Run is the hub: it pops
-// the parked thread with the smallest (clock, id) from a binary heap,
-// executes that thread's pending operation, and resumes the thread, which
-// runs until its next park (or its body returns). A coroutine switch is a
-// direct runtime handoff between two goroutines with no scheduler queue in
-// between, several times cheaper than a channel handoff. On top of it the
-// inline lease removes most switches entirely: when a thread is resumed it
-// learns the smallest (clock, id) among every *other* parked thread. While
-// its own (clock, id) stays below that horizon, its next operation is by
-// definition the one rule 2 would pick, so Thread.Call executes the handler
-// inline on the thread's own coroutine with no switch and no scheduling
-// structure touched at all. The horizon cannot go stale: other threads'
-// clocks only move while this thread is parked.
+// Each thread body runs as an iter.Pull coroutine. Run is the hub. It keeps
+// every live thread in a binary min-heap of packed keys now<<16 | id, so
+// one integer compare orders two threads by (clock, id). The heap root is
+// the thread rule 2 picks; it stays at the root while it runs. The hub
+// executes the root's pending operation and resumes the thread, which runs
+// until its next park (or its body returns). When it parks, the hub re-keys
+// the root and sifts it down once; when it exits, the hub pops it.
 //
-// Both paths execute handlers in exactly the (clock, id) serialized order,
+// A coroutine switch is a direct runtime handoff between two goroutines
+// with no scheduler queue in between. On top of it the inline lease removes
+// most switches entirely. Before resuming a thread, the hub computes its
+// leaseEnd: the first clock at which the thread no longer precedes every
+// other live thread. The other threads' minimum is the smaller of the
+// root's two children, and leaseEnd also folds in the MaxCycles guard.
+// While the thread's clock stays below leaseEnd, its next operation is by
+// definition the one rule 2 would pick, so Thread.Call executes the handler
+// inline on the thread's own coroutine — a single compare, no switch, no
+// heap touched. The lease cannot go stale: other threads' clocks only move
+// while this thread is parked.
+//
+// Thread.Spin removes the remaining switches for loops whose body code
+// between operations is small (a busy-wait, a steal loop). Its meaning is
+// defined as
+//
+//	for op := step(); op != nil; op = step() { t.Call(op) }
+//
+// but when the thread parks inside Spin, the hub calls step itself, right
+// after each operation's handler: the serialized position where the
+// coroutine would have resumed. While the thread still precedes every
+// other live thread the hub executes the returned op at once; otherwise it
+// sifts the thread down and moves on. The coroutine resumes only when step
+// returns nil. A step function must build and return its ops, never call
+// them: Thread.Call from inside step panics once the call would park.
+//
+// Every path executes handlers in exactly the (clock, id) serialized order,
 // and the body code between two of a thread's operations always runs
 // immediately after the first operation's handler — identical to a
 // centralized engine, so simulated results are unchanged to the bit.
 //
-// A run that ends early — a tripped cycle guard or a body panic — stops
-// every suspended coroutine before Run returns, so no goroutine outlives
-// the run.
+// A run that ends early — a tripped cycle guard or a panic in a body or a
+// step — stops every suspended coroutine before Run returns, so no
+// goroutine outlives the run.
 package engine
 
 import (
@@ -96,6 +116,19 @@ type LocalOp interface{ EngineLocal() }
 // is always the only one running.
 type Handler func(t *Thread, op Op) (advance uint64)
 
+// Heap keys pack a thread's (clock, id) as now<<keyIDBits | id, so that
+// integer order is the scheduler's pick order. Clocks above maxKeyClock
+// saturate there; the cycle guard never lets a thread run past
+// clockCeiling, so a saturated key only ever marks a thread about to trip
+// it.
+const (
+	keyIDBits    = 16
+	keyIDMask    = 1<<keyIDBits - 1
+	maxThreads   = 1 << keyIDBits
+	maxKeyClock  = 1<<(64-keyIDBits) - 1
+	clockCeiling = maxKeyClock - 1 // the cycle guard when MaxCycles is 0
+)
+
 // Thread is one simulated hardware thread.
 type Thread struct {
 	id      int
@@ -104,6 +137,19 @@ type Thread struct {
 	body    func(*Thread)
 	pending Op // parked operation awaiting execution
 
+	// Inline-execution lease under the sequential scheduler: the first
+	// clock at which this thread no longer precedes every other live
+	// thread, or passes the cycle guard. Set by the hub before each wake
+	// and zero otherwise, so Call's fast path is the single compare
+	// now < leaseEnd (never true under PDES).
+	leaseEnd uint64
+
+	// spin is the step function the hub drives while the thread is parked
+	// inside Spin (nil otherwise); stepping is set while a step runs, so a
+	// Call from inside it is caught before it parks.
+	spin     func() Op
+	stepping bool
+
 	// Coroutine hosting the body under the sequential scheduler: the hub
 	// resumes it with next and cancels it with stop; park suspends it
 	// through yield.
@@ -111,23 +157,17 @@ type Thread struct {
 	stop  func()
 	yield func(struct{}) bool
 
-	// Inline-execution lease: the smallest (clock, id) among all *other*
-	// parked threads, refreshed by the scheduler before each wake. While
-	// (now, id) precedes (horizonNow, horizonID) this thread is the one the
-	// scheduler would pick, so Call runs the handler inline with no
-	// switch. The PDES serial drain reuses the same pair as its global
-	// lease (see pdes.go).
-	horizonNow uint64
-	horizonID  int
-
 	// PDES state (unused by the sequential scheduler). res wakes the
 	// thread's goroutine; limit is the current epoch horizon H: local ops
 	// execute only while now < limit. serial is set while the thread holds
-	// the phase-2 drain lease, allowing global ops to run inline under
-	// (horizonNow, horizonID).
-	res    chan struct{}
-	limit  uint64
-	serial bool
+	// the phase-2 drain lease, allowing global ops to run inline while
+	// (now, id) precedes (horizonNow, horizonID), the smallest (clock, id)
+	// among the other parked threads (see pdes.go).
+	res        chan struct{}
+	limit      uint64
+	serial     bool
+	horizonNow uint64
+	horizonID  int
 }
 
 // ID returns the hardware thread id (dense, starting at 0).
@@ -139,21 +179,18 @@ func (t *Thread) Now() uint64 { return t.now }
 // Call posts op and returns once it has executed (advancing the thread's
 // clock by the handler's result). It must only be called from the thread's
 // own body. While the thread holds the inline lease — its clock strictly
-// precedes every other parked thread's — the handler runs immediately on
+// precedes every other live thread's — the handler runs immediately on
 // this coroutine; otherwise the thread parks and the hub runs the thread
 // with the smallest clock.
 func (t *Thread) Call(op Op) {
-	e := t.eng
-	if e.pdes != nil {
-		t.callPDES(op)
-		return
-	}
-	if (t.now < t.horizonNow || (t.now == t.horizonNow && t.id < t.horizonID)) &&
-		(e.MaxCycles == 0 || t.now <= e.MaxCycles) {
+	if t.now < t.leaseEnd {
 		// This thread is the scheduler's next pick: executing inline is
 		// bit-identical to parking and being rescheduled, minus the
-		// switch. (Past MaxCycles, fall through so the scheduler raises
-		// ErrMaxCycles exactly as a centralized engine would.)
+		// switch. (leaseEnd stops at the cycle guard, so a runaway thread
+		// falls through and the hub raises ErrMaxCycles exactly as a
+		// centralized engine would.) The body of exec is repeated here
+		// so that this hot path makes no further call.
+		e := t.eng
 		adv := e.handler(t, op)
 		t.now += adv
 		if p := e.probe; p != nil {
@@ -161,18 +198,61 @@ func (t *Thread) Call(op Op) {
 		}
 		return
 	}
+	if t.eng.pdes != nil {
+		t.callPDES(op)
+		return
+	}
 	t.park(op)
+}
+
+// Spin runs the loop
+//
+//	for op := step(); op != nil; op = step() { t.Call(op) }
+//
+// with the same ops, clocks and serialized order, but without resuming the
+// thread's coroutine between ops: once the thread parks, the hub calls
+// step right after each op's handler and executes the returned op while
+// the thread still holds the lease. step runs in serialized context (like
+// body code after an op) and may read the results of the op before it,
+// but it must not call Call itself. Under PDES, Spin runs the loop as
+// written.
+func (t *Thread) Spin(step func() Op) {
+	e := t.eng
+	if e.pdes != nil {
+		for op := step(); op != nil; op = step() {
+			t.Call(op)
+		}
+		return
+	}
+	for {
+		t.stepping = true
+		op := step()
+		t.stepping = false
+		if op == nil {
+			return
+		}
+		if t.now >= t.leaseEnd {
+			// Hand the rest of the loop to the hub: it executes op, keeps
+			// stepping, and resumes this coroutine once step returns nil.
+			t.spin = step
+			t.park(op)
+			return
+		}
+		e.exec(t, op)
+	}
 }
 
 // errStopped unwinds a coroutine that Run cancelled while it was parked.
 var errStopped = errors.New("engine: thread stopped")
 
-// park is Call's slow path: enqueue op and suspend until the hub has
+// park is Call's slow path: record op and suspend until the hub has
 // executed it. A false yield means Run is abandoning the thread; unwinding
 // the body then releases its goroutine (see run).
 func (t *Thread) park(op Op) {
+	if t.stepping {
+		panic("engine: Thread.Call inside a Spin step function (a step must return its op, not call it)")
+	}
 	t.pending = op
-	t.eng.heap.push(t)
 	if !t.yield(struct{}{}) {
 		panic(errStopped)
 	}
@@ -189,17 +269,28 @@ func (t *Thread) run(yield func(struct{}) bool) {
 	t.body(t)
 }
 
+// key is t's heap key: its (clock, id) packed into one integer.
+func (t *Thread) key() uint64 {
+	now := t.now
+	if now > maxKeyClock {
+		now = maxKeyClock
+	}
+	return now<<keyIDBits | uint64(t.id)
+}
+
 // Engine runs a set of threads to completion. Create with New.
 type Engine struct {
 	threads []*Thread
 	handler Handler
 
-	heap  clockHeap
-	final uint64 // maximum clock observed (the global clock)
+	heap  keyHeap // live threads under the sequential scheduler
+	guard uint64  // effective cycle guard for this Run (see MaxCycles)
+	final uint64  // maximum clock observed (the global clock)
 
 	// MaxCycles aborts the run when every runnable thread's clock exceeds
 	// it — a guard against deadlocked simulated programs. Zero means no
-	// limit.
+	// limit below the sequential scheduler's clock ceiling of 2^48−2
+	// cycles, which also caps larger values.
 	MaxCycles uint64
 
 	// probe, if set, receives per-op progress (see Probe). Nil costs one
@@ -239,10 +330,10 @@ func maxCyclesError(t *Thread) error {
 }
 
 // New creates an engine with n threads whose operations are executed by
-// handler.
+// handler. n may not exceed 65,536, the ids a heap key can hold.
 func New(n int, handler Handler) *Engine {
-	if n <= 0 {
-		panic(fmt.Sprintf("engine: need at least one thread, got %d", n))
+	if n <= 0 || n > maxThreads {
+		panic(fmt.Sprintf("engine: need 1 to %d threads, got %d", maxThreads, n))
 	}
 	e := &Engine{handler: handler}
 	for i := 0; i < n; i++ {
@@ -258,6 +349,15 @@ func (e *Engine) Threads() int { return len(e.threads) }
 // before Run.
 func (e *Engine) SetBody(id int, body func(*Thread)) {
 	e.threads[id].body = body
+}
+
+// exec runs op's handler for t and advances t's clock.
+func (e *Engine) exec(t *Thread, op Op) {
+	adv := e.handler(t, op)
+	t.now += adv
+	if p := e.probe; p != nil {
+		p.note(adv)
+	}
 }
 
 // Run executes all thread bodies to completion and returns the final global
@@ -286,97 +386,148 @@ func (e *Engine) Run() (uint64, error) {
 			}
 		}
 	}()
-	e.heap.a = make([]*Thread, 0, len(e.threads))
+	e.guard = clockCeiling
+	if e.MaxCycles > 0 && e.MaxCycles < e.guard {
+		e.guard = e.MaxCycles
+	}
+	e.heap = make(keyHeap, 0, len(e.threads))
 
 	// Start threads one at a time, in id order; each runs until its first
-	// op (or exit). The inline lease stays revoked (horizon (0, -1)) until
-	// the full parked set is known.
+	// op (or exit). The inline lease stays revoked (leaseEnd 0) until the
+	// full set of live threads is known.
 	for _, t := range e.threads {
-		t.horizonNow, t.horizonID = 0, -1
 		t.next, t.stop = iter.Pull(t.run)
-		e.resume(t)
+		if e.resume(t) {
+			e.heap.push(t.key())
+		}
 	}
 
-	// The hub: execute the smallest (clock, id) thread's pending op, grant
-	// it a fresh inline lease, and resume its body.
-	for e.heap.len() > 0 {
-		u := e.heap.pop()
-		if e.MaxCycles > 0 && u.now > e.MaxCycles {
+	// The hub: the root is the smallest (clock, id) thread. Execute its
+	// pending op (and, inside Spin, every op it goes on to post while it
+	// keeps the lease), then either resume its body or leave it parked,
+	// and restore the heap order under its new key.
+	for len(e.heap) > 0 {
+		u := e.threads[e.heap[0]&keyIDMask]
+		if u.now > e.guard {
 			return u.now, maxCyclesError(u)
 		}
-		op := u.pending
-		u.pending = nil
-		adv := e.handler(u, op)
-		u.now += adv
-		if p := e.probe; p != nil {
-			p.note(adv)
+		if e.drive(u) && !e.resume(u) {
+			e.heap.pop()
+			continue
 		}
-		if e.heap.len() > 0 {
-			r := e.heap.a[0]
-			u.horizonNow, u.horizonID = r.now, r.id
-		} else {
-			u.horizonNow, u.horizonID = ^uint64(0), int(^uint(0)>>1)
-		}
-		e.resume(u)
+		e.heap[0] = u.key()
+		e.heap.down(0)
 	}
 	return e.final, nil
 }
 
-// resume runs t's body until it parks or returns. A body panic propagates
-// from here out of Run.
-func (e *Engine) resume(t *Thread) {
-	if _, parked := t.next(); !parked && t.now > e.final {
+// drive executes the root thread u's pending op and grants u a fresh
+// lease. If u parked inside Spin, drive keeps calling its step function
+// and executing the ops it returns while u holds the lease. It reports
+// whether u's body must resume: false when u is left parked on the next
+// op of its Spin.
+func (e *Engine) drive(u *Thread) bool {
+	op := u.pending
+	u.pending = nil
+	for {
+		e.exec(u, op)
+		u.leaseEnd = e.leaseEnd(u)
+		if u.spin == nil {
+			return true
+		}
+		u.stepping = true
+		op = u.spin()
+		u.stepping = false
+		if op == nil {
+			u.spin = nil
+			return true
+		}
+		if u.now >= u.leaseEnd {
+			u.pending = op
+			return false
+		}
+	}
+}
+
+// leaseEnd computes the lease of u, the thread at the heap root: u
+// precedes every other live thread while its clock is below the smaller
+// of the root's children's clocks (plus one if u wins the id tie), and
+// may run inline only up to the cycle guard.
+func (e *Engine) leaseEnd(u *Thread) uint64 {
+	end := e.guard + 1
+	h := e.heap
+	if len(h) > 1 {
+		c := h[1]
+		if len(h) > 2 && h[2] < c {
+			c = h[2]
+		}
+		b := c >> keyIDBits
+		if uint64(u.id) < c&keyIDMask {
+			b++
+		}
+		if b < end {
+			end = b
+		}
+	}
+	return end
+}
+
+// resume runs t's body until it parks or returns, reporting whether it
+// parked. A panic in the body propagates from here out of Run.
+func (e *Engine) resume(t *Thread) (parked bool) {
+	if _, parked = t.next(); !parked && t.now > e.final {
 		e.final = t.now
 	}
+	return parked
 }
 
-// clockHeap is a binary min-heap of parked threads ordered by (now, id) —
-// the scheduler's pick order. Threads are only pushed when they park and
-// popped when resumed, so no decrease-key is needed.
-type clockHeap struct {
-	a []*Thread
-}
+// keyHeap is a binary min-heap of packed thread keys (see Thread.key).
+// Keys are distinct (ids are), so the order is total.
+type keyHeap []uint64
 
-func clockLess(x, y *Thread) bool {
-	return x.now < y.now || (x.now == y.now && x.id < y.id)
-}
-
-func (h *clockHeap) len() int { return len(h.a) }
-
-func (h *clockHeap) push(t *Thread) {
-	h.a = append(h.a, t)
-	i := len(h.a) - 1
+func (h *keyHeap) push(k uint64) {
+	*h = append(*h, k)
+	a := *h
+	i := len(a) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !clockLess(h.a[i], h.a[p]) {
+		if a[p] < k {
 			break
 		}
-		h.a[i], h.a[p] = h.a[p], h.a[i]
+		a[i] = a[p]
 		i = p
+	}
+	a[i] = k
+}
+
+// pop removes the root.
+func (h *keyHeap) pop() {
+	a := *h
+	last := len(a) - 1
+	a[0] = a[last]
+	*h = a[:last]
+	if last > 0 {
+		h.down(0)
 	}
 }
 
-func (h *clockHeap) pop() *Thread {
-	root := h.a[0]
-	last := len(h.a) - 1
-	h.a[0] = h.a[last]
-	h.a[last] = nil
-	h.a = h.a[:last]
-	i := 0
+// down restores the heap order below i after a[i]'s key grew.
+func (h keyHeap) down(i int) {
+	k := h[i]
+	n := len(h)
 	for {
-		l, r := 2*i+1, 2*i+2
-		if l >= len(h.a) {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		c := l
-		if r < len(h.a) && clockLess(h.a[r], h.a[l]) {
+		if r := c + 1; r < n && h[r] < h[c] {
 			c = r
 		}
-		if !clockLess(h.a[c], h.a[i]) {
+		if k < h[c] {
 			break
 		}
-		h.a[i], h.a[c] = h.a[c], h.a[i]
+		h[i] = h[c]
 		i = c
 	}
-	return root
+	h[i] = k
 }

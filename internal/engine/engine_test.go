@@ -159,13 +159,23 @@ func waitGoroutines(n int) bool {
 	return false
 }
 
+// spinForever parks th in a Spin that never ends.
+func spinForever(th *Thread) {
+	th.Spin(func() Op { return simpleOp(1) })
+}
+
 // TestFailedRunsReleaseThreads: a run that ends on the cycle guard or on a
-// body panic must not leave any thread's goroutine parked behind it.
+// body panic must not leave any thread's goroutine parked behind it —
+// including threads suspended inside Spin.
 func TestFailedRunsReleaseThreads(t *testing.T) {
 	runaway := func() {
 		e := New(8, func(_ *Thread, op Op) uint64 { return 7 })
 		e.MaxCycles = 5000
 		for i := 0; i < 8; i++ {
+			if i%2 == 0 {
+				e.SetBody(i, spinForever)
+				continue
+			}
 			e.SetBody(i, func(th *Thread) {
 				for {
 					th.Call(simpleOp(0))
@@ -180,6 +190,10 @@ func TestFailedRunsReleaseThreads(t *testing.T) {
 		e := New(8, func(_ *Thread, op Op) uint64 { return 1 })
 		for i := 0; i < 8; i++ {
 			i := i
+			if i == 2 || i == 6 {
+				e.SetBody(i, spinForever)
+				continue
+			}
 			e.SetBody(i, func(th *Thread) {
 				for k := 0; ; k++ {
 					if i == 5 && k == 40 {

@@ -367,3 +367,54 @@ func (e *Engine) runPDES() (uint64, error) {
 		e.drainHeap.a = e.drainHeap.a[:0]
 	}
 }
+
+// clockHeap is a binary min-heap of parked threads ordered by (now, id) —
+// the PDES drain's pick order. Threads are only pushed when they park and
+// popped when woken, so no decrease-key is needed.
+type clockHeap struct {
+	a []*Thread
+}
+
+func clockLess(x, y *Thread) bool {
+	return x.now < y.now || (x.now == y.now && x.id < y.id)
+}
+
+func (h *clockHeap) len() int { return len(h.a) }
+
+func (h *clockHeap) push(t *Thread) {
+	h.a = append(h.a, t)
+	i := len(h.a) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !clockLess(h.a[i], h.a[p]) {
+			break
+		}
+		h.a[i], h.a[p] = h.a[p], h.a[i]
+		i = p
+	}
+}
+
+func (h *clockHeap) pop() *Thread {
+	root := h.a[0]
+	last := len(h.a) - 1
+	h.a[0] = h.a[last]
+	h.a[last] = nil
+	h.a = h.a[:last]
+	i := 0
+	for {
+		l, r := 2*i+1, 2*i+2
+		if l >= len(h.a) {
+			break
+		}
+		c := l
+		if r < len(h.a) && clockLess(h.a[r], h.a[l]) {
+			c = r
+		}
+		if !clockLess(h.a[c], h.a[i]) {
+			break
+		}
+		h.a[i], h.a[c] = h.a[c], h.a[i]
+		i = c
+	}
+	return root
+}

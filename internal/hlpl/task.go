@@ -3,6 +3,7 @@ package hlpl
 import (
 	"sync/atomic"
 
+	"warden/internal/engine"
 	"warden/internal/machine"
 	"warden/internal/mem"
 )
@@ -138,13 +139,12 @@ func (t *Task) Join2(a, b func(*Task)) {
 	} else {
 		// b was stolen: help with other work while waiting for the thief's
 		// completion signal (busy-wait synchronization, as in the PBBS
-		// runtime the paper describes in §7.2).
-		for w.ctx.Load(join, 8) == 0 {
-			if other := w.trySteal(); other != nil {
-				w.runTask(other)
-				continue
-			}
-			w.ctx.Compute(idleProbeCycles)
+		// runtime the paper describes in §7.2). The check op loads the
+		// join cell; the wait ends once the thief has set it.
+		check := func() engine.Op { return w.ctx.LoadOp(join, 8) }
+		stop := func() bool { return w.ctx.Loaded(8) != 0 }
+		for other := w.idle(check, stop); other != nil; other = w.idle(check, stop) {
+			w.runTask(other)
 		}
 	}
 	w.ctx.Host(func() { rt.freeCell(join) })

@@ -1,6 +1,7 @@
 package hlpl
 
 import (
+	"warden/internal/engine"
 	"warden/internal/machine"
 	"warden/internal/mem"
 )
@@ -72,36 +73,75 @@ func (w *worker) popIf(td *taskDesc) bool {
 	return false
 }
 
-// trySteal probes up to stealProbeLimit random victims and takes the oldest
-// task of the first victim with work. The simulated CAS on the victim's top
-// cell is the classic steal-side contention.
-func (w *worker) trySteal() *taskDesc {
-	n := len(w.rt.workers)
-	if n <= 1 {
-		return nil
-	}
-	for probe := 0; probe < stealProbeLimit; probe++ {
-		v := w.rt.workers[int(w.nextRand()%uint64(n))]
-		if v == w {
-			continue
-		}
-		w.ctx.Load(v.bottomCell, 8)
-		// The load parks this worker; other workers may mutate the deque in
-		// the meantime, so decide and commit on the post-load state before
-		// issuing more simulated operations.
-		if len(v.items) > v.head {
-			td := v.items[v.head]
-			v.head++
-			if v.head == len(v.items) {
-				v.items = v.items[:0]
-				v.head = 0
+// Idle-loop states: which op the idle step function issued last.
+const (
+	idleStart   = iota // nothing yet: issue the check op
+	idleChecked        // the check op executed: stop, or start probing
+	idleProbed         // a victim's bottom cell was loaded: steal or probe on
+	idleStole          // the steal's FetchAdd executed: return the task
+)
+
+// idle busy-waits until stop reports true (returning nil) or a steal
+// succeeds (returning the stolen task, which the caller runs before
+// idling again). One round issues the check op, then probes up to
+// stealProbeLimit random victims by loading each one's bottom cell and
+// takes the oldest task of the first victim with work — committing with a
+// simulated FetchAdd on the victim's top cell, the classic steal-side
+// contention — and otherwise backs off for idleProbeCycles.
+//
+// The loop runs as a Spin step function: the engine calls it right after
+// each of its ops executes, so every decision is made on the post-op
+// state (other workers may have mutated the victim's deque while this
+// worker's load was pending) without resuming this worker's coroutine.
+// check must build a fresh op on every call; stop reads its result.
+func (w *worker) idle(check func() engine.Op, stop func() bool) *taskDesc {
+	ctx := w.ctx
+	workers := w.rt.workers
+	n := uint64(len(workers))
+	var (
+		state  = idleStart
+		probes int
+		victim *worker
+		stolen *taskDesc
+	)
+	ctx.Spin(func() engine.Op {
+		switch state {
+		case idleStart:
+			state = idleChecked
+			return check()
+		case idleChecked:
+			if stop() {
+				return nil
 			}
-			w.rt.Steals++
-			w.ctx.FetchAdd(v.topCell, 8, 1)
-			return td
+			probes = 0
+		case idleProbed:
+			if v := victim; len(v.items) > v.head {
+				stolen = v.items[v.head]
+				v.head++
+				if v.head == len(v.items) {
+					v.items = v.items[:0]
+					v.head = 0
+				}
+				w.rt.Steals++
+				state = idleStole
+				return ctx.FetchAddOp(v.topCell, 8, 1)
+			}
+		case idleStole:
+			return nil
 		}
-	}
-	return nil
+		// Probe the next victim, or back off once the round is spent.
+		for n > 1 && probes < stealProbeLimit {
+			probes++
+			if v := workers[w.nextRand()%n]; v != w {
+				victim = v
+				state = idleProbed
+				return ctx.LoadOp(v.bottomCell, 8)
+			}
+		}
+		state = idleStart
+		return ctx.ComputeOp(idleProbeCycles)
+	})
+	return stolen
 }
 
 // runTask executes a (typically stolen) task: read the fork record the
@@ -122,20 +162,20 @@ func (w *worker) runTask(td *taskDesc) {
 
 // loop is the body of every non-root worker: steal until the computation
 // finishes. The done flag is host-side state shared with the root thread,
-// so it is read through Ctx.Host — pinning each check to this worker's
-// serialized position, which keeps the number of idle iterations (and so
-// the instruction stream) identical across engine modes.
+// so it is read through a host op (Ctx.HostOp) — pinning each check to
+// this worker's serialized position, which keeps the number of idle
+// iterations (and so the instruction stream) identical across engine
+// modes. The check closures are built once per worker.
 func (w *worker) loop() {
+	var done bool
+	readDone := func() { done = w.rt.done }
+	check := func() engine.Op { return w.ctx.HostOp(readDone) }
+	stop := func() bool { return done }
 	for {
-		var done bool
-		w.ctx.Host(func() { done = w.rt.done })
-		if done {
+		td := w.idle(check, stop)
+		if td == nil {
 			return
 		}
-		if td := w.trySteal(); td != nil {
-			w.runTask(td)
-			continue
-		}
-		w.ctx.Compute(idleProbeCycles)
+		w.runTask(td)
 	}
 }

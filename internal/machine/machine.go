@@ -184,6 +184,12 @@ type addRegionOp struct {
 
 type removeRegionOp struct{ id core.RegionID }
 
+// hostOp runs a host callback at the thread's exact serialized position.
+// It is global (not a LocalOp) and advances no clock, emits no event, and
+// touches no counter — simulated results with and without Host calls are
+// identical; only host-side bookkeeping happens inside fn.
+type hostOp struct{ fn func() }
+
 // exec is the engine handler: it executes one op and returns the clock
 // advance for the issuing thread. With a sink attached it also emits one
 // instruction-level event per op (execObserved); without one, the only
@@ -465,9 +471,21 @@ func (c *Ctx) Machine() *Machine { return c.m }
 
 // Load performs a size-byte load (size 1, 2, 4, or 8) and returns the value.
 func (c *Ctx) Load(a mem.Addr, size int) uint64 {
+	c.t.Call(c.LoadOp(a, size))
+	return c.Loaded(size)
+}
+
+// LoadOp builds the op Load(a, size) executes, for a Spin step to return.
+// Loaded reads its value once the op has executed.
+func (c *Ctx) LoadOp(a mem.Addr, size int) engine.Op {
 	c.ld.addr = a
 	c.ld.buf = c.buf[:size]
-	c.t.Call(&c.ld)
+	return &c.ld
+}
+
+// Loaded returns the value of the last scalar load (Load or LoadOp) of
+// size bytes.
+func (c *Ctx) Loaded(size int) uint64 {
 	var v uint64
 	for i := size - 1; i >= 0; i-- {
 		v = v<<8 | uint64(c.buf[i])
@@ -511,8 +529,15 @@ func (c *Ctx) Compute(n uint64) {
 	if n == 0 {
 		return
 	}
+	c.t.Call(c.ComputeOp(n))
+}
+
+// ComputeOp builds the op Compute(n) executes, for a Spin step to return.
+// Unlike Compute(0), ComputeOp(0) is an op: it advances no clock but
+// still counts as one executed operation.
+func (c *Ctx) ComputeOp(n uint64) engine.Op {
 	c.cmp.cycles = n
-	c.t.Call(&c.cmp)
+	return &c.cmp
 }
 
 // Fence drains the store buffer (a full memory barrier under TSO). Under
@@ -548,15 +573,57 @@ func (c *Ctx) CAS(a mem.Addr, size int, old, new uint64) bool {
 // FetchAdd atomically adds delta to the size-byte value at a and returns
 // the previous value.
 func (c *Ctx) FetchAdd(a mem.Addr, size int, delta uint64) uint64 {
+	c.t.Call(c.FetchAddOp(a, size, delta))
+	c.rmw.fn = nil
+	return c.rmw.old
+}
+
+// FetchAddOp builds the op FetchAdd(a, size, delta) executes, for a Spin
+// step to return.
+func (c *Ctx) FetchAddOp(a mem.Addr, size int, delta uint64) engine.Op {
 	c.rmw.addr = a
 	c.rmw.size = size
 	c.rmw.kind = core.RMWFetchAdd
 	c.rmw.a, c.rmw.b = delta, 0
 	c.rmw.fn = func(cur uint64) uint64 { return cur + delta }
-	c.t.Call(&c.rmw)
-	c.rmw.fn = nil
-	return c.rmw.old
+	return &c.rmw
 }
+
+// Host executes fn at this thread's exact position in the serialized op
+// order, with every other simulated thread quiescent. It advances no
+// simulated clock, emits no event, and changes no counter — results are
+// bit-identical with or without the call.
+//
+// Use it for host-side bookkeeping that is shared across threads (pools,
+// flags, allocation that assigns simulation-visible addresses): under the
+// PDES scheduler, body code between two local ops may run concurrently
+// with other threads and out of clock order, so plain access to shared
+// host state there is both racy and nondeterministic. Wrapping the access
+// in Host serializes it at a deterministic point. Thread-private host
+// state needs no wrapping.
+func (c *Ctx) Host(fn func()) {
+	c.t.Call(c.HostOp(fn))
+	c.host.fn = nil
+}
+
+// HostOp builds the op Host(fn) executes, for a Spin step to return.
+func (c *Ctx) HostOp(fn func()) engine.Op {
+	c.host.fn = fn
+	return &c.host
+}
+
+// Spin runs step's ops as the loop
+//
+//	for op := step(); op != nil; op = step() { <execute op> }
+//
+// with identical results, but lets the engine call step between ops
+// without switching to this thread (see engine.Thread.Spin). step builds
+// its ops with the *Op builders above, reads their results (Loaded, the
+// state a Host callback wrote) on its next call, and must not call any
+// synchronous Ctx method that executes an instruction. Each op is
+// executed before step runs again, so the builders' scratch ops are safe
+// to reuse.
+func (c *Ctx) Spin(step func() engine.Op) { c.t.Spin(step) }
 
 // PhaseBegin emits an EvPhaseBegin marker naming the program phase the
 // thread is entering. Phase markers are pure observation: they execute no

@@ -1,6 +1,6 @@
 // PDES integration for the machine layer: op classification, the
-// thread-local fast-path handler, the speculative event buffers published
-// in serialized order, and the Host escape hatch for shared host state.
+// thread-local fast-path handler, and the speculative event buffers
+// published in serialized order.
 //
 // Classification is deliberately conservative. Only compute and fence are
 // local: both read and write nothing beyond the issuing thread's clock,
@@ -117,12 +117,6 @@ func (m *Machine) EngineMode() EngineMode { return m.emode }
 func (*computeOp) EngineLocal() {}
 func (*fenceOp) EngineLocal()   {}
 
-// hostOp runs a host callback at the thread's exact serialized position.
-// It is global (not a LocalOp) and advances no clock, emits no event, and
-// touches no counter — simulated results with and without Host calls are
-// identical; only host-side bookkeeping happens inside fn.
-type hostOp struct{ fn func() }
-
 // execLocal is the PDES local handler: it executes compute and fence ops
 // against thread-private state only, buffering the would-be event. It runs
 // concurrently with other threads' execLocal calls, so it must not touch
@@ -236,22 +230,4 @@ func (m *Machine) mergeLocals() {
 		m.ctr.FenceDrains += c.fenceDrains
 		m.ctr.StoreCycles += c.storeCycles
 	}
-}
-
-// Host executes fn at this thread's exact position in the serialized op
-// order, with every other simulated thread quiescent. It advances no
-// simulated clock, emits no event, and changes no counter — results are
-// bit-identical with or without the call.
-//
-// Use it for host-side bookkeeping that is shared across threads (pools,
-// flags, allocation that assigns simulation-visible addresses): under the
-// PDES scheduler, body code between two local ops may run concurrently
-// with other threads and out of clock order, so plain access to shared
-// host state there is both racy and nondeterministic. Wrapping the access
-// in Host serializes it at a deterministic point. Thread-private host
-// state needs no wrapping.
-func (c *Ctx) Host(fn func()) {
-	c.host.fn = fn
-	c.t.Call(&c.host)
-	c.host.fn = nil
 }

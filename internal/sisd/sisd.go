@@ -36,7 +36,9 @@
 package sisd
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"warden/internal/cache"
@@ -61,6 +63,8 @@ type impl struct {
 	s     *core.System
 	cores int
 	l2Lat uint64
+
+	swept []cache.Line // SyncPoint's scratch list, reused across sweeps
 }
 
 func newImpl(s *core.System) core.ProtocolImpl {
@@ -236,13 +240,17 @@ func (p *impl) EvictVictim(c int, ev cache.Eviction, e *coherence.Entry) {
 // cost; writebacks are posted and charged as traffic only).
 func (p *impl) SyncPoint(c int) uint64 {
 	s := p.s
-	var swept []cache.Line
-	for _, ln := range s.L2Recency(c) {
+	swept := p.swept[:0]
+	_, l2 := s.PrivateCaches()
+	l2[c].ForEach(func(ln *cache.Line) {
 		if e := s.Directory().Lookup(ln.Addr); e != nil && e.State == cache.Shared {
-			swept = append(swept, ln)
+			swept = append(swept, *ln)
 		}
-	}
-	sort.Slice(swept, func(i, j int) bool { return swept[i].Addr < swept[j].Addr })
+	})
+	// Addresses are distinct within one cache, so the walk order of the
+	// collection above does not matter.
+	slices.SortFunc(swept, func(a, b cache.Line) int { return cmp.Compare(a.Addr, b.Addr) })
+	p.swept = swept
 	for _, ln := range swept {
 		if ln.State == cache.Modified {
 			s.Fabric().CoreToHome(stats.DataDir, c, ln.Addr) // posted writeback
