@@ -1,6 +1,10 @@
 package cache
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -24,15 +28,17 @@ func TestInsertLookup(t *testing.T) {
 	if _, ev := c.Insert(0x1000, Exclusive); ev {
 		t.Fatal("insert into empty cache evicted")
 	}
-	ln := c.Lookup(0x1000)
-	if ln == nil || ln.State != Exclusive || ln.Addr != 0x1000 {
-		t.Fatalf("lookup after insert: %+v", ln)
+	if st := c.Lookup(0x1000); st != Exclusive {
+		t.Fatalf("lookup after insert: %v", st)
 	}
-	if c.Lookup(0x1040) != nil {
+	if lines := c.Recency(); len(lines) != 1 || lines[0] != (Line{Addr: 0x1000, State: Exclusive}) {
+		t.Fatalf("lines after insert: %+v", lines)
+	}
+	if c.Lookup(0x1040) != Invalid {
 		t.Fatal("lookup of absent block succeeded")
 	}
 	// Sub-block addresses resolve to the containing block.
-	if c.Lookup(0x103f) == nil {
+	if c.Lookup(0x103f) == Invalid {
 		t.Fatal("lookup within the block failed")
 	}
 }
@@ -44,7 +50,7 @@ func TestInsertExistingUpdatesState(t *testing.T) {
 	if c.ValidLines() != 1 {
 		t.Fatalf("duplicate insert created %d lines", c.ValidLines())
 	}
-	if st := c.Peek(0x1000).State; st != Modified {
+	if st := c.Peek(0x1000); st != Modified {
 		t.Fatalf("state = %v, want M", st)
 	}
 }
@@ -65,7 +71,7 @@ func TestLRUEviction(t *testing.T) {
 	if ev.Addr != b {
 		t.Fatalf("evicted %#x, want %#x (LRU)", uint64(ev.Addr), uint64(b))
 	}
-	if c.Peek(a) == nil || c.Peek(d) == nil || c.Peek(b) != nil {
+	if c.Peek(a) == Invalid || c.Peek(d) == Invalid || c.Peek(b) != Invalid {
 		t.Fatal("post-eviction contents wrong")
 	}
 }
@@ -77,7 +83,7 @@ func TestInvalidate(t *testing.T) {
 	if st != Modified {
 		t.Fatalf("invalidate returned %v, want M", st)
 	}
-	if c.Peek(0x40) != nil {
+	if c.Peek(0x40) != Invalid {
 		t.Fatal("block still present after invalidate")
 	}
 	if st := c.Invalidate(0x40); st != Invalid {
@@ -155,7 +161,7 @@ func TestQuickCacheNeverExceedsCapacity(t *testing.T) {
 		for _, a := range addrs {
 			block := mem.Addr(a) &^ 63
 			c.Insert(block, Shared)
-			if c.Peek(block) == nil {
+			if c.Peek(block) == Invalid {
 				return false
 			}
 		}
@@ -172,8 +178,8 @@ func TestForEachDeterministic(t *testing.T) {
 	c.Insert(0x80, Modified)
 	c.Insert(0xc0, Exclusive)
 	var order1, order2 []mem.Addr
-	c.ForEach(func(ln *Line) { order1 = append(order1, ln.Addr) })
-	c.ForEach(func(ln *Line) { order2 = append(order2, ln.Addr) })
+	c.ForEach(func(ln Line) { order1 = append(order1, ln.Addr) })
+	c.ForEach(func(ln Line) { order2 = append(order2, ln.Addr) })
 	if len(order1) != 3 || len(order1) != len(order2) {
 		t.Fatalf("ForEach visited %d/%d lines", len(order1), len(order2))
 	}
@@ -193,6 +199,7 @@ func TestBadGeometryPanics(t *testing.T) {
 		{1000, 2, 64}, // size not divisible
 		{1024, 0, 64}, // zero assoc
 		{1024, 2, 48}, // non-power-of-two block
+		{1024, 2, 4},  // block too small to pack a state into its tag
 	} {
 		func() {
 			defer func() {
@@ -202,5 +209,216 @@ func TestBadGeometryPanics(t *testing.T) {
 			}()
 			New("bad", tc.size, tc.assoc, tc.block)
 		}()
+	}
+}
+
+// refCache is the reference model the packed Cache is checked against: the
+// original array-of-structs tag store, one refLine per way with its own LRU
+// stamp, indexed by division. It is deliberately naive.
+type refCache struct {
+	blockSize uint64
+	numSets   uint64
+	assoc     int
+	sets      []refLine
+	tick      uint64
+
+	Invalidations, Downgrades, Hits, Misses, Evictions uint64
+}
+
+type refLine struct {
+	Addr  mem.Addr
+	State State
+	lru   uint64
+}
+
+func newRef(size uint64, assoc int, blockSize uint64) *refCache {
+	numSets := size / (uint64(assoc) * blockSize)
+	return &refCache{blockSize: blockSize, numSets: numSets, assoc: assoc, sets: make([]refLine, numSets*uint64(assoc))}
+}
+
+func (c *refCache) setOf(addr mem.Addr) []refLine {
+	idx := (uint64(addr) / c.blockSize) % c.numSets
+	return c.sets[idx*uint64(c.assoc) : (idx+1)*uint64(c.assoc)]
+}
+
+func (c *refCache) Peek(addr mem.Addr) *refLine {
+	block := addr.Block(c.blockSize)
+	set := c.setOf(block)
+	for i := range set {
+		if set[i].State != Invalid && set[i].Addr == block {
+			return &set[i]
+		}
+	}
+	return nil
+}
+
+func (c *refCache) Lookup(addr mem.Addr) *refLine {
+	ln := c.Peek(addr)
+	if ln != nil {
+		c.tick++
+		ln.lru = c.tick
+	}
+	return ln
+}
+
+func (c *refCache) Insert(addr mem.Addr, st State) (Eviction, bool) {
+	block := addr.Block(c.blockSize)
+	if ln := c.Lookup(block); ln != nil {
+		ln.State = st
+		return Eviction{}, false
+	}
+	set := c.setOf(block)
+	victim := -1
+	for i := range set {
+		if set[i].State == Invalid {
+			victim = i
+			break
+		}
+	}
+	var ev Eviction
+	evicted := false
+	if victim < 0 {
+		victim = 0
+		for i := 1; i < len(set); i++ {
+			if set[i].lru < set[victim].lru {
+				victim = i
+			}
+		}
+		ev = Eviction{Addr: set[victim].Addr, State: set[victim].State}
+		evicted = true
+		c.Evictions++
+	}
+	c.tick++
+	set[victim] = refLine{Addr: block, State: st, lru: c.tick}
+	return ev, evicted
+}
+
+func (c *refCache) Invalidate(addr mem.Addr) State {
+	if ln := c.Peek(addr); ln != nil {
+		st := ln.State
+		*ln = refLine{}
+		return st
+	}
+	return Invalid
+}
+
+func (c *refCache) SetState(addr mem.Addr, st State) bool {
+	ln := c.Peek(addr)
+	if ln != nil {
+		ln.State = st
+	}
+	return ln != nil
+}
+
+func (c *refCache) lines() []Line {
+	var out []Line
+	for _, ln := range c.sets {
+		if ln.State != Invalid {
+			out = append(out, Line{Addr: ln.Addr, State: ln.State})
+		}
+	}
+	return out
+}
+
+func (c *refCache) Recency() []Line {
+	var out []Line
+	for s := uint64(0); s < c.numSets; s++ {
+		set := append([]refLine(nil), c.sets[s*uint64(c.assoc):(s+1)*uint64(c.assoc)]...)
+		sort.Slice(set, func(i, j int) bool { return set[i].lru > set[j].lru })
+		for _, ln := range set {
+			if ln.State != Invalid {
+				out = append(out, Line{Addr: ln.Addr, State: ln.State})
+			}
+		}
+	}
+	return out
+}
+
+func stateOf(ln *refLine) State {
+	if ln == nil {
+		return Invalid
+	}
+	return ln.State
+}
+
+// TestMatchesReferenceModel drives the packed cache and the reference model
+// with the same seeded random operation sequences and requires identical
+// observable behaviour after every step: return values, evictions,
+// counters, occupancy, ForEach's set-major way order (which exposes the
+// way an insert fills) and Recency (which exposes LRU order).
+func TestMatchesReferenceModel(t *testing.T) {
+	for _, g := range []struct {
+		size  uint64
+		assoc int
+	}{
+		{512, 1},  // direct-mapped, 8 sets
+		{1024, 2}, // 8 sets
+		{2048, 8}, // 4 sets
+	} {
+		for seed := int64(1); seed <= 4; seed++ {
+			name := fmt.Sprintf("%dway/seed%d", g.assoc, seed)
+			t.Run(name, func(t *testing.T) {
+				c := New(name, g.size, g.assoc, 64)
+				ref := newRef(g.size, g.assoc, 64)
+				// A pool a few times the capacity, so sets fill, evict and
+				// re-hit; offsets within a block exercise alignment.
+				capacity := int(g.size / 64)
+				rng := rand.New(rand.NewSource(seed))
+				addr := func() mem.Addr {
+					return mem.Addr(rng.Intn(3*capacity))*64 + mem.Addr(rng.Intn(64))
+				}
+				state := func() State { return State(1 + rng.Intn(int(Ward))) }
+				for step := 0; step < 4000; step++ {
+					a := addr()
+					var op string
+					switch r := rng.Intn(10); {
+					case r < 3:
+						op = "Lookup"
+						if got, want := c.Lookup(a), stateOf(ref.Lookup(a)); got != want {
+							t.Fatalf("step %d: Lookup(%#x) = %v, want %v", step, uint64(a), got, want)
+						}
+					case r < 4:
+						op = "Peek"
+						if got, want := c.Peek(a), stateOf(ref.Peek(a)); got != want {
+							t.Fatalf("step %d: Peek(%#x) = %v, want %v", step, uint64(a), got, want)
+						}
+					case r < 7:
+						op = "Insert"
+						st := state()
+						ev, ok := c.Insert(a, st)
+						wev, wok := ref.Insert(a, st)
+						if ev != wev || ok != wok {
+							t.Fatalf("step %d: Insert(%#x, %v) = %+v %v, want %+v %v", step, uint64(a), st, ev, ok, wev, wok)
+						}
+					case r < 8:
+						op = "Invalidate"
+						if got, want := c.Invalidate(a), ref.Invalidate(a); got != want {
+							t.Fatalf("step %d: Invalidate(%#x) = %v, want %v", step, uint64(a), got, want)
+						}
+					default:
+						op = "SetState"
+						st := state()
+						if got, want := c.SetState(a, st), ref.SetState(a, st); got != want {
+							t.Fatalf("step %d: SetState(%#x, %v) = %v, want %v", step, uint64(a), st, got, want)
+						}
+					}
+					if c.Evictions != ref.Evictions || c.Hits != ref.Hits || c.Misses != ref.Misses ||
+						c.Invalidations != ref.Invalidations || c.Downgrades != ref.Downgrades {
+						t.Fatalf("step %d (%s): counters diverge", step, op)
+					}
+					var lines []Line
+					c.ForEach(func(ln Line) { lines = append(lines, ln) })
+					if want := ref.lines(); !slices.Equal(lines, want) {
+						t.Fatalf("step %d (%s): ForEach = %v, want %v", step, op, lines, want)
+					}
+					if got, want := c.ValidLines(), len(lines); got != want {
+						t.Fatalf("step %d (%s): ValidLines = %d, want %d", step, op, got, want)
+					}
+					if got, want := c.Recency(), ref.Recency(); !slices.Equal(got, want) {
+						t.Fatalf("step %d (%s): Recency = %v, want %v", step, op, got, want)
+					}
+				}
+			})
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package coherence
 
 import (
+	"math/bits"
+
 	"warden/internal/mem"
 	"warden/internal/stats"
 	"warden/internal/topology"
@@ -11,21 +13,41 @@ import (
 // cost; messages whose endpoints are on different sockets additionally pay
 // the (much larger) intersocket latency, which is what makes coherence
 // increasingly expensive on multi-socket and disaggregated machines (§7.3).
+//
+// The fabric keeps only the parameters it uses, with the address and core
+// maps precomputed: a message costs no division beyond the home socket's
+// modulo by the socket count.
 type Fabric struct {
-	cfg          topology.Config
 	ctr          *stats.Counters
 	flitsPerData uint64
+	hops         uint64 // average on-chip hops per message
+	onChip       uint64 // latency of one on-chip traversal
+	interSocket  uint64 // extra latency of a socket crossing
+	blockShift   uint   // log2(block size)
+	sockets      uint64 // socket count (blocks interleave across them)
+	socketOf     []int  // core -> socket
 }
 
 // NewFabric returns a fabric for the given machine, recording traffic into
 // ctr.
 func NewFabric(cfg topology.Config, ctr *stats.Counters) *Fabric {
-	// A 16-byte flit link: a 64-byte block takes 4 data flits plus a header.
-	return &Fabric{cfg: cfg, ctr: ctr, flitsPerData: cfg.BlockSize/16 + 1}
+	f := &Fabric{
+		ctr: ctr,
+		// A 16-byte flit link: a 64-byte block takes 4 data flits plus a
+		// header.
+		flitsPerData: cfg.BlockSize/16 + 1,
+		hops:         cfg.AvgNoCHops,
+		onChip:       cfg.AvgNoCHops * cfg.NoCHopLatency,
+		interSocket:  cfg.InterSocketLatency,
+		blockShift:   uint(bits.TrailingZeros64(cfg.BlockSize)),
+		sockets:      uint64(cfg.Sockets),
+		socketOf:     make([]int, cfg.Cores()),
+	}
+	for c := range f.socketOf {
+		f.socketOf[c] = cfg.SocketOf(c)
+	}
+	return f
 }
-
-// onChip returns the latency of traversing the on-chip network once.
-func (f *Fabric) onChip() uint64 { return f.cfg.AvgNoCHops * f.cfg.NoCHopLatency }
 
 func (f *Fabric) send(t stats.MsgType, fromSocket, toSocket int) uint64 {
 	flits := uint64(1)
@@ -37,10 +59,10 @@ func (f *Fabric) send(t stats.MsgType, fromSocket, toSocket int) uint64 {
 
 func (f *Fabric) sendFlits(t stats.MsgType, fromSocket, toSocket int, flits uint64) uint64 {
 	crossed := fromSocket != toSocket
-	f.ctr.Message(t, f.cfg.AvgNoCHops, crossed, flits)
-	lat := f.onChip()
+	f.ctr.Message(t, f.hops, crossed, flits)
+	lat := f.onChip
 	if crossed {
-		lat += f.cfg.InterSocketLatency
+		lat += f.interSocket
 	}
 	return lat
 }
@@ -50,28 +72,29 @@ func (f *Fabric) sendFlits(t stats.MsgType, fromSocket, toSocket int, flits uint
 // set is written back"), so sparse writers move only what they wrote.
 func (f *Fabric) FlushToHome(core int, block mem.Addr, dirtyBytes uint64) uint64 {
 	flits := 1 + (dirtyBytes+15)/16
-	return f.sendFlits(stats.ReconcileFlush, f.cfg.SocketOf(core), f.cfg.HomeSocket(uint64(block)), flits)
+	return f.sendFlits(stats.ReconcileFlush, f.socketOf[core], f.HomeSocket(block), flits)
 }
 
 // CoreToHome sends a request from core to the home directory of block and
 // returns its latency.
 func (f *Fabric) CoreToHome(t stats.MsgType, core int, block mem.Addr) uint64 {
-	return f.send(t, f.cfg.SocketOf(core), f.cfg.HomeSocket(uint64(block)))
+	return f.send(t, f.socketOf[core], f.HomeSocket(block))
 }
 
 // HomeToCore sends a response or forwarded request from block's home
 // directory to core and returns its latency.
 func (f *Fabric) HomeToCore(t stats.MsgType, block mem.Addr, core int) uint64 {
-	return f.send(t, f.cfg.HomeSocket(uint64(block)), f.cfg.SocketOf(core))
+	return f.send(t, f.HomeSocket(block), f.socketOf[core])
 }
 
 // CoreToCore sends a cache-to-cache message (e.g. the data response to a
 // Fwd-GetS) and returns its latency.
 func (f *Fabric) CoreToCore(t stats.MsgType, from, to int) uint64 {
-	return f.send(t, f.cfg.SocketOf(from), f.cfg.SocketOf(to))
+	return f.send(t, f.socketOf[from], f.socketOf[to])
 }
 
-// HomeSocket returns the home socket of block (exposed for protocol code).
+// HomeSocket returns the home socket of block (exposed for protocol code):
+// topology.Config.HomeSocket, with the block division as a shift.
 func (f *Fabric) HomeSocket(block mem.Addr) int {
-	return f.cfg.HomeSocket(uint64(block))
+	return int((uint64(block) >> f.blockShift) % f.sockets)
 }

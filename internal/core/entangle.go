@@ -56,8 +56,8 @@ const maxRetainedViolations = 16
 // holders of a W block. Called from the W-state read path when detection
 // is on.
 func (s *System) checkEntangledRead(reader int, block mem.Addr, a mem.Addr, n int, e *coherence.Entry) {
-	lo := uint(a-block) / uint(s.sectorSize)
-	hi := (uint(a-block) + uint(n) + uint(s.sectorSize) - 1) / uint(s.sectorSize)
+	lo := uint(a-block) >> s.sectorShift
+	hi := (uint(a-block) + uint(n) + 1<<s.sectorShift - 1) >> s.sectorShift
 	var readMask cache.SectorMask
 	readMask = readMask.Set(lo, hi-lo)
 

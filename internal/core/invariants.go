@@ -31,21 +31,21 @@ func (s *System) CheckInvariants() error {
 	// Inclusion and reverse-mapping: every valid private line is tracked.
 	for c := range s.l1 {
 		var err error
-		s.l1[c].ForEach(func(ln *cache.Line) {
+		s.l1[c].ForEach(func(ln cache.Line) {
 			if err != nil {
 				return
 			}
-			l2ln := s.l2[c].Peek(ln.Addr)
-			if l2ln == nil {
+			l2st := s.l2[c].Peek(ln.Addr)
+			if l2st == cache.Invalid {
 				err = fmt.Errorf("core %d: L1 holds %#x but L2 does not (inclusion)", c, uint64(ln.Addr))
-			} else if l2ln.State != ln.State {
-				err = fmt.Errorf("core %d: L1 state %v != L2 state %v for %#x", c, ln.State, l2ln.State, uint64(ln.Addr))
+			} else if l2st != ln.State {
+				err = fmt.Errorf("core %d: L1 state %v != L2 state %v for %#x", c, ln.State, l2st, uint64(ln.Addr))
 			}
 		})
 		if err != nil {
 			return err
 		}
-		s.l2[c].ForEach(func(ln *cache.Line) {
+		s.l2[c].ForEach(func(ln cache.Line) {
 			if err != nil {
 				return
 			}
@@ -87,8 +87,8 @@ func (s *System) checkBlockInvariant(a mem.Addr, e *coherence.Entry) error {
 		if e.State != cache.Ward {
 			return fmt.Errorf("core %d holds a write mask for %#x but the directory entry is %v", c, uint64(a), e.State)
 		}
-		if ln := s.l2[c].Peek(a); ln == nil || ln.State != cache.Ward {
-			return fmt.Errorf("core %d holds a write mask for W block %#x but its L2 has %v", c, uint64(a), lnState(s.l2[c].Peek(a)))
+		if st := s.l2[c].Peek(a); st != cache.Ward {
+			return fmt.Errorf("core %d holds a write mask for W block %#x but its L2 has %v", c, uint64(a), st)
 		}
 	}
 	return nil
@@ -98,11 +98,4 @@ func (s *System) checkBlockInvariant(a mem.Addr, e *coherence.Entry) error {
 func (s *System) regionActive(id RegionID) bool {
 	_, ok := s.regions.byID[id]
 	return ok
-}
-
-func lnState(ln *cache.Line) cache.State {
-	if ln == nil {
-		return cache.Invalid
-	}
-	return ln.State
 }

@@ -111,31 +111,29 @@ func (s *System) mesiPrivHit(core int, block mem.Addr, st cache.State, mode Acce
 func (s *System) checkCoherentBlock(a mem.Addr, e *coherence.Entry, wardOK bool) error {
 	switch e.State {
 	case cache.Exclusive:
-		ln := s.l2[e.Owner].Peek(a)
-		if ln == nil || (ln.State != cache.Exclusive && ln.State != cache.Modified) {
-			return fmt.Errorf("dir says core %d owns %#x but its L2 has %v", e.Owner, uint64(a), lnState(ln))
+		if st := s.l2[e.Owner].Peek(a); st != cache.Exclusive && st != cache.Modified {
+			return fmt.Errorf("dir says core %d owns %#x but its L2 has %v", e.Owner, uint64(a), st)
 		}
 		for c := range s.l2 {
-			if c != e.Owner && s.l2[c].Peek(a) != nil {
+			if c != e.Owner && s.l2[c].Peek(a) != cache.Invalid {
 				return fmt.Errorf("block %#x owned by core %d also valid in core %d", uint64(a), e.Owner, c)
 			}
 		}
 	case cache.Owned:
-		ln := s.l2[e.Owner].Peek(a)
-		if ln == nil || ln.State != cache.Owned {
-			return fmt.Errorf("dir says core %d owns %#x (O) but its L2 has %v", e.Owner, uint64(a), lnState(ln))
+		if st := s.l2[e.Owner].Peek(a); st != cache.Owned {
+			return fmt.Errorf("dir says core %d owns %#x (O) but its L2 has %v", e.Owner, uint64(a), st)
 		}
 		for c := range s.l2 {
 			if c == e.Owner {
 				continue
 			}
-			l := s.l2[c].Peek(a)
+			st := s.l2[c].Peek(a)
 			if e.Sharers.Has(c) {
-				if l == nil || l.State != cache.Shared {
-					return fmt.Errorf("dir says core %d shares O-block %#x but its L2 has %v", c, uint64(a), lnState(l))
+				if st != cache.Shared {
+					return fmt.Errorf("dir says core %d shares O-block %#x but its L2 has %v", c, uint64(a), st)
 				}
-			} else if l != nil {
-				return fmt.Errorf("core %d holds O-block %#x (%v) but is not a sharer", c, uint64(a), l.State)
+			} else if st != cache.Invalid {
+				return fmt.Errorf("core %d holds O-block %#x (%v) but is not a sharer", c, uint64(a), st)
 			}
 		}
 	case cache.Shared:
@@ -143,13 +141,13 @@ func (s *System) checkCoherentBlock(a mem.Addr, e *coherence.Entry, wardOK bool)
 			return fmt.Errorf("shared block %#x with empty sharer set", uint64(a))
 		}
 		for c := range s.l2 {
-			ln := s.l2[c].Peek(a)
+			st := s.l2[c].Peek(a)
 			if e.Sharers.Has(c) {
-				if ln == nil || ln.State != cache.Shared {
-					return fmt.Errorf("dir says core %d shares %#x but its L2 has %v", c, uint64(a), lnState(ln))
+				if st != cache.Shared {
+					return fmt.Errorf("dir says core %d shares %#x but its L2 has %v", c, uint64(a), st)
 				}
-			} else if ln != nil {
-				return fmt.Errorf("core %d holds %#x (%v) but is not in sharer set", c, uint64(a), ln.State)
+			} else if st != cache.Invalid {
+				return fmt.Errorf("core %d holds %#x (%v) but is not in sharer set", c, uint64(a), st)
 			}
 		}
 	case cache.Ward:
@@ -160,12 +158,12 @@ func (s *System) checkCoherentBlock(a mem.Addr, e *coherence.Entry, wardOK bool)
 			return fmt.Errorf("W block %#x belongs to region %d, which is not active", uint64(a), e.Region)
 		}
 		for c := range s.l2 {
-			ln := s.l2[c].Peek(a)
+			st := s.l2[c].Peek(a)
 			if e.Sharers.Has(c) {
-				if ln == nil || (ln.State != cache.Ward && ln.State != cache.Shared) {
-					return fmt.Errorf("dir says core %d holds W block %#x but its L2 has %v", c, uint64(a), lnState(ln))
+				if st != cache.Ward && st != cache.Shared {
+					return fmt.Errorf("dir says core %d holds W block %#x but its L2 has %v", c, uint64(a), st)
 				}
-			} else if ln != nil {
+			} else if st != cache.Invalid {
 				return fmt.Errorf("core %d holds W block %#x but is not in holder set", c, uint64(a))
 			}
 		}

@@ -15,10 +15,10 @@ func TestMOESIOwnedStateOnDirtySharing(t *testing.T) {
 	write64(s, 0, a, 7) // core 0: M
 	read64(s, 1, a)     // MOESI: core 0 -> O (no writeback), core 1 -> S
 	l1, _ := s.PrivateCaches()
-	if st := l1[0].Peek(a).State; st != cache.Owned {
+	if st := l1[0].Peek(a); st != cache.Owned {
 		t.Fatalf("dirty sharer state = %v, want O", st)
 	}
-	if st := l1[1].Peek(a).State; st != cache.Shared {
+	if st := l1[1].Peek(a); st != cache.Shared {
 		t.Fatalf("reader state = %v, want S", st)
 	}
 	if ctr.Msgs[stats.DataDir] != 0 {
@@ -47,7 +47,7 @@ func TestMOESICleanSharingStaysShared(t *testing.T) {
 	read64(s, 0, a) // E, clean
 	read64(s, 1, a) // clean downgrade: plain S/S, no O
 	l1, _ := s.PrivateCaches()
-	if st := l1[0].Peek(a).State; st != cache.Shared {
+	if st := l1[0].Peek(a); st != cache.Shared {
 		t.Fatalf("clean ex-owner state = %v, want S", st)
 	}
 	if err := s.CheckInvariants(); err != nil {
@@ -81,10 +81,10 @@ func TestMOESINonOwnerWriteTakesOwnership(t *testing.T) {
 	read64(s, 1, a)     // 0: O, 1: S
 	write64(s, 2, a, 9) // third core takes M; 0 and 1 invalidated
 	l1, _ := s.PrivateCaches()
-	if l1[0].Peek(a) != nil || l1[1].Peek(a) != nil {
+	if l1[0].Peek(a) != cache.Invalid || l1[1].Peek(a) != cache.Invalid {
 		t.Fatal("old holders still valid")
 	}
-	if st := l1[2].Peek(a).State; st != cache.Modified {
+	if st := l1[2].Peek(a); st != cache.Modified {
 		t.Fatalf("new owner state = %v, want M", st)
 	}
 	if v, _ := read64(s, 3, a); v != 9 {

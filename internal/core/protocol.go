@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"warden/internal/cache"
@@ -61,8 +62,7 @@ func (s *System) mesiGetS(core int, block mem.Addr, e *coherence.Entry, lat *uin
 		owner := e.Owner
 		*lat += s.fabric.HomeToCore(stats.FwdGetS, block, owner)
 		*lat += s.cfg.L2Latency // owner's private lookup
-		ownerLine := s.l2[owner].Peek(block)
-		dirty := ownerLine != nil && ownerLine.State == cache.Modified
+		dirty := s.l2[owner].Peek(block) == cache.Modified
 		*lat += s.fabric.CoreToCore(stats.Data, owner, core)
 		if owned && dirty {
 			s.downgradePrivateTo(owner, block, cache.Owned)
@@ -199,7 +199,7 @@ func (s *System) wardGrant(core int, block mem.Addr, e *coherence.Entry, rid Reg
 		e.Region = uint32(rid)
 		s.regions.noteBlock(rid, block)
 	}
-	already := e.Sharers.Has(core) && s.l2[core].Peek(block) != nil
+	already := e.Sharers.Has(core) && s.l2[core].Peek(block) != cache.Invalid
 	e.Sharers = e.Sharers.Add(core)
 	if !already {
 		lat += s.llcFetch(block)
@@ -216,7 +216,7 @@ func (s *System) llcFetch(block mem.Addr) uint64 {
 	home := s.fabric.HomeSocket(block)
 	s.ctr.L3Accesses++
 	l3 := s.l3[home]
-	if l3.Lookup(block) != nil {
+	if l3.Lookup(block) != cache.Invalid {
 		l3.Hits++
 		s.ctr.L3Hits++
 		return 0
@@ -247,12 +247,8 @@ func (s *System) installPrivate(core int, block mem.Addr, st cache.State) {
 
 // setPrivState updates block's state in the core's L1 and L2 where present.
 func (s *System) setPrivState(core int, block mem.Addr, st cache.State) {
-	if ln := s.l2[core].Peek(block); ln != nil {
-		ln.State = st
-	}
-	if ln := s.l1[core].Peek(block); ln != nil {
-		ln.State = st
-	}
+	s.l2[core].SetState(block, st)
+	s.l1[core].SetState(block, st)
 }
 
 // invalidatePrivate removes block from the core's private caches; when
@@ -278,13 +274,11 @@ func (s *System) downgradePrivate(core int, block mem.Addr) {
 // downgradePrivateTo moves block to the given (less privileged) state in the
 // core's private caches, counting a coherence downgrade per cache holding it.
 func (s *System) downgradePrivateTo(core int, block mem.Addr, st cache.State) {
-	if ln := s.l1[core].Peek(block); ln != nil {
-		ln.State = st
+	if s.l1[core].SetState(block, st) {
 		s.l1[core].CountDowngrade()
 		s.ctr.Downgrades++
 	}
-	if ln := s.l2[core].Peek(block); ln != nil {
-		ln.State = st
+	if s.l2[core].SetState(block, st) {
 		s.l2[core].CountDowngrade()
 		s.ctr.Downgrades++
 	}
@@ -395,7 +389,7 @@ func (s *System) flushWardCopy(core int, block mem.Addr) {
 	}
 	if wc.mask != 0 {
 		s.applyMask(block, wc)
-		s.fabric.FlushToHome(core, block, uint64(wc.mask.Count())*s.sectorSize)
+		s.fabric.FlushToHome(core, block, uint64(wc.mask.Count())<<s.sectorShift)
 		s.ctr.ReconciledBlocks++
 		s.ctr.ReconciledSectors += uint64(wc.mask.Count())
 		s.l3[s.fabric.HomeSocket(block)].Insert(block, cache.Shared)
@@ -404,12 +398,13 @@ func (s *System) flushWardCopy(core int, block mem.Addr) {
 }
 
 func (s *System) applyMask(block mem.Addr, wc *wardCopy) {
-	sectors := uint(s.cfg.BlockSize / s.sectorSize)
-	for i := uint(0); i < sectors; i++ {
-		if wc.mask.Has(i) {
-			off := mem.Addr(uint64(i) * s.sectorSize)
-			s.mem.Write(block+off, wc.data[uint64(i)*s.sectorSize:(uint64(i)+1)*s.sectorSize])
-		}
+	// Each run of consecutive written sectors is one contiguous write.
+	for m := uint64(wc.mask); m != 0; {
+		lo := bits.TrailingZeros64(m)
+		n := bits.TrailingZeros64(^(m >> lo))
+		m &^= (uint64(1)<<n - 1) << lo
+		off, end := uint64(lo)<<s.sectorShift, uint64(lo+n)<<s.sectorShift
+		s.mem.Write(block+mem.Addr(off), wc.data[off:end])
 	}
 }
 
@@ -443,8 +438,7 @@ func (s *System) reconcileBlock(block mem.Addr, e *coherence.Entry, forgetRegion
 
 	// First pass: merge every written sector into the canonical store.
 	holders.ForEach(func(c int) {
-		ln := s.l2[c].Peek(block)
-		if ln == nil || ln.State != cache.Ward {
+		if s.l2[c].Peek(block) != cache.Ward {
 			return
 		}
 		wc, ok := s.wcopies[c][block]
@@ -456,7 +450,7 @@ func (s *System) reconcileBlock(block mem.Addr, e *coherence.Entry, forgetRegion
 			writers++
 			lastWriter = c
 			s.applyMask(block, wc)
-			s.fabric.FlushToHome(c, block, uint64(wc.mask.Count())*s.sectorSize)
+			s.fabric.FlushToHome(c, block, uint64(wc.mask.Count())<<s.sectorShift)
 			s.ctr.ReconciledSectors += uint64(wc.mask.Count())
 		}
 	})
@@ -467,11 +461,11 @@ func (s *System) reconcileBlock(block mem.Addr, e *coherence.Entry, forgetRegion
 	// These invalidations are not coherence invalidations: no Inv messages
 	// travel, the holders volunteered their blocks.
 	holders.ForEach(func(c int) {
-		ln := s.l2[c].Peek(block)
-		if ln == nil {
+		st := s.l2[c].Peek(block)
+		if st == cache.Invalid {
 			return
 		}
-		if ln.State != cache.Ward {
+		if st != cache.Ward {
 			remaining = remaining.Add(c) // clean S holder under a W entry
 			return
 		}
@@ -546,7 +540,7 @@ func (s *System) drainCoherent() {
 		case cache.Ward:
 			wards = append(wards, a)
 		case cache.Exclusive, cache.Owned:
-			if ln := s.l2[e.Owner].Peek(a); ln != nil && (ln.State == cache.Modified || ln.State == cache.Owned) {
+			if st := s.l2[e.Owner].Peek(a); st == cache.Modified || st == cache.Owned {
 				dirty = append(dirty, a)
 			}
 		}

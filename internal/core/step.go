@@ -105,7 +105,7 @@ func (s *System) DirEntry(block mem.Addr) (DirEntryView, bool) {
 
 // PrivLines implements DirState.
 func (s *System) PrivLines(core int, block mem.Addr) (l1, l2 cache.State) {
-	return lnState(s.l1[core].Peek(block)), lnState(s.l2[core].Peek(block))
+	return s.l1[core].Peek(block), s.l2[core].Peek(block)
 }
 
 // L2Recency implements DirState.

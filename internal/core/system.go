@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"warden/internal/cache"
 	"warden/internal/coherence"
@@ -60,9 +61,9 @@ type System struct {
 	l1, l2 []*cache.Cache // indexed by core
 	l3     []*cache.Cache // indexed by socket
 
-	regions    *regionTable
-	wcopies    []map[mem.Addr]*wardCopy // indexed by core
-	sectorSize uint64                   // bytes per sector bit (default 1: byte sectoring)
+	regions     *regionTable
+	wcopies     []map[mem.Addr]*wardCopy // indexed by core
+	sectorShift uint                     // log2 of bytes per sector bit (default 0: byte sectoring)
 
 	detectEntangle bool
 	violations     []Violation
@@ -89,15 +90,14 @@ func NewSystem(cfg topology.Config, proto Protocol, m *mem.Memory, ctr *stats.Co
 		panic("core: block sizes above 64 bytes are not supported by the sector mask")
 	}
 	s := &System{
-		cfg:        cfg,
-		proto:      proto,
-		mem:        m,
-		ctr:        ctr,
-		fabric:     coherence.NewFabric(cfg, ctr),
-		dir:        coherence.NewDirectory(),
-		regions:    newRegionTable(cfg.WardRegionCapacity),
-		sectorSize: 1,
-		evThread:   -1,
+		cfg:      cfg,
+		proto:    proto,
+		mem:      m,
+		ctr:      ctr,
+		fabric:   coherence.NewFabric(cfg, ctr),
+		dir:      coherence.NewDirectory(),
+		regions:  newRegionTable(cfg.WardRegionCapacity),
+		evThread: -1,
 	}
 	for c := 0; c < cfg.Cores(); c++ {
 		s.l1 = append(s.l1, cache.New(fmt.Sprintf("L1-%d", c), cfg.L1Size, cfg.L1Assoc, cfg.BlockSize))
@@ -129,7 +129,7 @@ func (s *System) SetSectorSize(n uint64) {
 	if n == 0 || n&(n-1) != 0 || s.cfg.BlockSize/n > 64 || n > s.cfg.BlockSize {
 		panic(fmt.Sprintf("core: invalid sector size %d for block size %d", n, s.cfg.BlockSize))
 	}
-	s.sectorSize = n
+	s.sectorShift = uint(bits.TrailingZeros64(n))
 }
 
 // ActiveRegions reports the number of registered WARD regions.
@@ -197,8 +197,8 @@ func (s *System) Write(core int, a mem.Addr, src []byte) uint64 {
 		s.ctr.WardAccesses++
 		wc := s.wcopy(core, block)
 		copy(wc.data[a-block:], src)
-		lo := uint(a-block) / uint(s.sectorSize)
-		hi := (uint(a-block) + uint(len(src)) + uint(s.sectorSize) - 1) / uint(s.sectorSize)
+		lo := uint(a-block) >> s.sectorShift
+		hi := (uint(a-block) + uint(len(src)) + 1<<s.sectorShift - 1) >> s.sectorShift
 		wc.mask = wc.mask.Set(lo, hi-lo)
 	} else {
 		s.mem.Write(a, src)
@@ -223,7 +223,7 @@ func (s *System) RMW(core int, a mem.Addr, size int, fn func(old uint64) uint64)
 }
 
 func (s *System) checkSpan(a mem.Addr, n int) {
-	if n <= 0 || uint64(a)/s.cfg.BlockSize != (uint64(a)+uint64(n)-1)/s.cfg.BlockSize {
+	if n <= 0 || uint64(a)&(s.cfg.BlockSize-1)+uint64(n) > s.cfg.BlockSize {
 		panic(fmt.Sprintf("core: access at %#x size %d crosses a block boundary", uint64(a), n))
 	}
 }
@@ -244,8 +244,8 @@ func (s *System) wcopy(core int, block mem.Addr) *wardCopy {
 func (s *System) acquire(core int, block mem.Addr, mode AccessMode) (cache.State, uint64) {
 	lat := s.cfg.L1Latency
 	s.ctr.L1Accesses++
-	if ln := s.l1[core].Lookup(block); ln != nil {
-		if ok, st := s.privHit(core, block, ln.State, mode); ok {
+	if st := s.l1[core].Lookup(block); st != cache.Invalid {
+		if ok, st := s.privHit(core, block, st, mode); ok {
 			s.l1[core].Hits++
 			s.ctr.L1Hits++
 			return st, lat
@@ -253,8 +253,8 @@ func (s *System) acquire(core int, block mem.Addr, mode AccessMode) (cache.State
 	} else {
 		s.ctr.L2Accesses++
 		lat += s.cfg.L2Latency
-		if ln2 := s.l2[core].Lookup(block); ln2 != nil {
-			if ok, st := s.privHit(core, block, ln2.State, mode); ok {
+		if st := s.l2[core].Lookup(block); st != cache.Invalid {
+			if ok, st := s.privHit(core, block, st, mode); ok {
 				s.l2[core].Hits++
 				s.ctr.L2Hits++
 				s.fillL1(core, block, st)

@@ -74,9 +74,8 @@ func TestMESIExclusiveGrantOnColdRead(t *testing.T) {
 	a := m.Alloc(64, 64)
 	read64(s, 0, a)
 	l1, _ := s.PrivateCaches()
-	ln := l1[0].Peek(a)
-	if ln == nil || ln.State != cache.Exclusive {
-		t.Fatalf("cold read state = %v, want E", ln)
+	if st := l1[0].Peek(a); st != cache.Exclusive {
+		t.Fatalf("cold read state = %v, want E", st)
 	}
 	// A silent E->M upgrade must not need the directory.
 	before := s.ctr.DirAccesses

@@ -33,6 +33,10 @@ type Machine struct {
 	eng   *engine.Engine
 	sbufs []*storeBuffer
 
+	// coreOf maps a hardware thread to its core (topology.Config.CoreOf,
+	// precomputed: the op path neither divides nor copies the Config).
+	coreOf []int
+
 	cycles uint64 // final clock after Run
 
 	// syncFences marks fences as protocol synchronization points (the
@@ -69,6 +73,7 @@ func New(cfg topology.Config, proto core.Protocol) *Machine {
 	m.eng.MaxCycles = 50_000_000_000
 	for i := 0; i < cfg.Threads(); i++ {
 		m.sbufs = append(m.sbufs, newStoreBuffer(cfg.StoreBufferEntries))
+		m.coreOf = append(m.coreOf, cfg.CoreOf(i))
 	}
 	return m
 }
@@ -109,7 +114,7 @@ func (m *Machine) Run(bodies []func(*Ctx)) (uint64, error) {
 	}
 	for i, body := range bodies {
 		body := body
-		core := m.cfg.CoreOf(i)
+		core := m.coreOf[i]
 		m.eng.SetBody(i, func(t *engine.Thread) {
 			body(&Ctx{m: m, t: t, core: core})
 		})
@@ -155,12 +160,23 @@ type storeOp struct {
 type rmwOp struct {
 	addr mem.Addr
 	size int
-	fn   func(uint64) uint64
 	old  uint64
 
-	kind core.RMWKind // which atomic this is, for the event stream
+	kind core.RMWKind // which atomic this is
 	a, b uint64       // CAS: expected/new; FetchAdd: delta in a
 	lat  uint64       // memory-system latency (excludes the drain stall)
+}
+
+// apply returns the value the atomic leaves in memory when it finds cur
+// there.
+func (o *rmwOp) apply(cur uint64) uint64 {
+	if o.kind == core.RMWCAS {
+		if cur == o.a {
+			return o.b
+		}
+		return cur
+	}
+	return cur + o.a
 }
 
 // superscalarWidth is how many ALU instructions retire per cycle.
@@ -218,7 +234,7 @@ func (m *Machine) execObserved(t *engine.Thread, op engine.Op) uint64 {
 	ev := &m.ev
 	*ev = core.Event{
 		Thread:  t.ID(),
-		Core:    m.cfg.CoreOf(t.ID()),
+		Core:    m.coreOf[t.ID()],
 		Cycle:   t.Now(),
 		Latency: adv,
 		Advance: adv,
@@ -284,7 +300,7 @@ func (m *Machine) execOp(t *engine.Thread, op engine.Op) uint64 {
 		m.ctr.Loads++
 		var lat uint64
 		forEachBlockSpan(o.addr, len(o.buf), m.cfg.BlockSize, func(a mem.Addr, off, n int) {
-			lat += m.sys.Read(m.cfg.CoreOf(t.ID()), a, o.buf[off:off+n])
+			lat += m.sys.Read(m.coreOf[t.ID()], a, o.buf[off:off+n])
 		})
 		m.ctr.LoadCycles += lat
 		return lat
@@ -294,7 +310,7 @@ func (m *Machine) execOp(t *engine.Thread, op engine.Op) uint64 {
 		m.ctr.Stores++
 		var lat uint64
 		forEachBlockSpan(o.addr, len(o.data), m.cfg.BlockSize, func(a mem.Addr, off, n int) {
-			lat += m.sys.Write(m.cfg.CoreOf(t.ID()), a, o.data[off:off+n])
+			lat += m.sys.Write(m.coreOf[t.ID()], a, o.data[off:off+n])
 		})
 		o.lat = lat
 		// The store's state change is visible now; its latency drains
@@ -312,7 +328,7 @@ func (m *Machine) execOp(t *engine.Thread, op engine.Op) uint64 {
 		m.ctr.Atomics++
 		// Atomics order the store buffer (TSO): drain first.
 		lat := m.sbufs[t.ID()].drain(t.Now())
-		old, alat := m.sys.RMW(m.cfg.CoreOf(t.ID()), o.addr, o.size, o.fn)
+		old, alat := m.sys.RMW(m.coreOf[t.ID()], o.addr, o.size, o.apply)
 		o.old = old
 		o.lat = alat
 		m.ctr.AtomicCycles += lat + alat
@@ -334,18 +350,18 @@ func (m *Machine) execOp(t *engine.Thread, op engine.Op) uint64 {
 		m.ctr.Instructions++
 		m.ctr.FenceDrains++
 		lat := 1 + m.sbufs[t.ID()].drain(t.Now())
-		return lat + m.sys.SyncPoint(m.cfg.CoreOf(t.ID()))
+		return lat + m.sys.SyncPoint(m.coreOf[t.ID()])
 
 	case *addRegionOp:
 		m.ctr.Instructions++
-		id, lat, ok := m.sys.AddRegion(m.cfg.CoreOf(t.ID()), o.lo, o.hi)
+		id, lat, ok := m.sys.AddRegion(m.coreOf[t.ID()], o.lo, o.hi)
 		o.id, o.ok = id, ok
 		m.ctr.RegionCycles += lat
 		return lat
 
 	case *removeRegionOp:
 		m.ctr.Instructions++
-		lat := m.sys.RemoveRegion(m.cfg.CoreOf(t.ID()), o.id)
+		lat := m.sys.RemoveRegion(m.coreOf[t.ID()], o.id)
 		m.ctr.RegionCycles += lat
 		return lat
 	}
@@ -357,7 +373,7 @@ func forEachBlockSpan(addr mem.Addr, n int, blockSize uint64, fn func(a mem.Addr
 	off := 0
 	for n > 0 {
 		a := addr + mem.Addr(off)
-		room := int(blockSize - uint64(a)%blockSize)
+		room := int(blockSize - uint64(a)&(blockSize-1))
 		if room > n {
 			room = n
 		}
@@ -391,7 +407,9 @@ func newStoreBuffer(entries int) *storeBuffer {
 
 func (b *storeBuffer) pop(now uint64) {
 	for b.size > 0 && b.completions[b.head] <= now {
-		b.head = (b.head + 1) % len(b.completions)
+		if b.head++; b.head == len(b.completions) {
+			b.head = 0
+		}
 		b.size--
 	}
 }
@@ -414,7 +432,10 @@ func (b *storeBuffer) push(now, lat uint64) (stall uint64) {
 		done = pipelined
 	}
 	b.lastDone = done
-	tail := (b.head + b.size) % len(b.completions)
+	tail := b.head + b.size
+	if tail >= len(b.completions) {
+		tail -= len(b.completions)
+	}
 	b.completions[tail] = done
 	b.size++
 	return stall
@@ -559,14 +580,7 @@ func (c *Ctx) CAS(a mem.Addr, size int, old, new uint64) bool {
 	c.rmw.size = size
 	c.rmw.kind = core.RMWCAS
 	c.rmw.a, c.rmw.b = old, new
-	c.rmw.fn = func(cur uint64) uint64 {
-		if cur == old {
-			return new
-		}
-		return cur
-	}
 	c.t.Call(&c.rmw)
-	c.rmw.fn = nil
 	return c.rmw.old == old
 }
 
@@ -574,7 +588,6 @@ func (c *Ctx) CAS(a mem.Addr, size int, old, new uint64) bool {
 // the previous value.
 func (c *Ctx) FetchAdd(a mem.Addr, size int, delta uint64) uint64 {
 	c.t.Call(c.FetchAddOp(a, size, delta))
-	c.rmw.fn = nil
 	return c.rmw.old
 }
 
@@ -585,7 +598,6 @@ func (c *Ctx) FetchAddOp(a mem.Addr, size int, delta uint64) engine.Op {
 	c.rmw.size = size
 	c.rmw.kind = core.RMWFetchAdd
 	c.rmw.a, c.rmw.b = delta, 0
-	c.rmw.fn = func(cur uint64) uint64 { return cur + delta }
 	return &c.rmw
 }
 

@@ -268,27 +268,39 @@ type nopSink struct{}
 
 func (nopSink) Event(*core.Event) {}
 
-// TestObservedOpsAllocateNothing: with a sink attached, an instruction's
-// event is built in machine-owned scratch, so an observed L1-hit load or
-// store costs no heap allocation.
+// TestObservedOpsAllocateNothing: an L1-hit load, store, FetchAdd or CAS
+// costs no heap allocation, with or without a sink attached. Observed, an
+// instruction's event is built in machine-owned scratch; an atomic's new
+// value is computed from the op's kind and operands, not a closure.
 func TestObservedOpsAllocateNothing(t *testing.T) {
-	m := New(testCfg(), core.WARDen)
-	m.System().SetSink(nopSink{})
-	a := m.Mem().Alloc(64, 64)
-	var load, store float64
-	all := make([]func(*Ctx), m.Config().Threads())
-	for i := range all {
-		all[i] = func(*Ctx) {}
-	}
-	all[0] = func(ctx *Ctx) {
-		ctx.Store(a, 8, 1)
-		load = testing.AllocsPerRun(100, func() { ctx.Load(a, 8) })
-		store = testing.AllocsPerRun(100, func() { ctx.Store(a, 8, 2) })
-	}
-	if _, err := m.Run(all); err != nil {
-		t.Fatal(err)
-	}
-	if load != 0 || store != 0 {
-		t.Fatalf("observed ops allocate: load %v, store %v allocs/op", load, store)
+	for _, observed := range []bool{false, true} {
+		m := New(testCfg(), core.WARDen)
+		if observed {
+			m.System().SetSink(nopSink{})
+		}
+		a := m.Mem().Alloc(64, 64)
+		allocs := map[string]float64{}
+		all := make([]func(*Ctx), m.Config().Threads())
+		for i := range all {
+			all[i] = func(*Ctx) {}
+		}
+		all[0] = func(ctx *Ctx) {
+			ctx.Store(a, 8, 1)
+			allocs["load"] = testing.AllocsPerRun(100, func() { ctx.Load(a, 8) })
+			allocs["store"] = testing.AllocsPerRun(100, func() { ctx.Store(a, 8, 2) })
+			allocs["fetchadd"] = testing.AllocsPerRun(100, func() { ctx.FetchAdd(a+8, 8, 3) })
+			allocs["cas"] = testing.AllocsPerRun(100, func() { ctx.CAS(a+16, 8, 0, 4) })
+		}
+		if _, err := m.Run(all); err != nil {
+			t.Fatal(err)
+		}
+		for op, n := range allocs {
+			if n != 0 {
+				t.Errorf("observed=%v: %s allocates %v allocs/op", observed, op, n)
+			}
+		}
+		if len(allocs) != 4 {
+			t.Fatalf("observed=%v: measured %d ops, want 4", observed, len(allocs))
+		}
 	}
 }

@@ -142,7 +142,7 @@ func (m *Machine) execLocal(t *engine.Thread, op engine.Op) uint64 {
 	}
 	if m.observing {
 		ev.Thread = t.ID()
-		ev.Core = m.cfg.CoreOf(t.ID())
+		ev.Core = m.coreOf[t.ID()]
 		ev.Cycle = t.Now()
 		ev.Latency = adv
 		ev.Advance = adv

@@ -1,5 +1,5 @@
-// Package mem implements the simulated physical address space: a sparse,
-// paged backing store plus a simple region allocator.
+// Package mem implements the simulated physical address space: a paged
+// backing store plus a simple region allocator.
 //
 // The backing store holds the canonical value of every byte of simulated
 // memory. Under MESI the coherence protocol guarantees a single writer per
@@ -26,12 +26,29 @@ func (a Addr) Page() Addr { return a &^ (PageSize - 1) }
 // which must be a power of two.
 func (a Addr) Block(blockSize uint64) Addr { return a &^ Addr(blockSize-1) }
 
-// Memory is a sparse simulated address space with a bump region allocator.
-// The zero value is not ready to use; call New.
+// Memory is a simulated address space with a bump region allocator. The
+// zero value is not ready to use; call New.
+//
+// Pages are materialized (zeroed) on first write. Pages inside the
+// allocator's range [base, Brk()) live in a dense table indexed by page
+// number, so the per-access path is a subtraction, a shift and a bounds
+// check. Pages outside it, which only hand-written or replayed traces
+// reach, live in a sparse map.
 type Memory struct {
-	pages map[Addr]*[PageSize]byte
-	next  Addr // next unallocated address for Alloc
+	base   Addr                     // first address Alloc hands out
+	next   Addr                     // next unallocated address for Alloc
+	dense  []*[PageSize]byte        // page base+i*PageSize at i; nil = untouched
+	sparse map[Addr]*[PageSize]byte // pages outside the dense table, by base
+	pages  int                      // pages materialized, in either table
 }
+
+const (
+	// pageShift is log2(PageSize).
+	pageShift = 12
+	// maxDensePages caps the dense table at 16 GiB of simulated memory
+	// (32 MiB of table); pages of a larger allocation beyond it are sparse.
+	maxDensePages = 1 << 22
+)
 
 // New returns an empty address space. Allocation starts at base, which is
 // rounded up to a page boundary; address 0 is never handed out so that it
@@ -40,9 +57,11 @@ func New(base Addr) *Memory {
 	if base == 0 {
 		base = PageSize
 	}
+	base = (base + PageSize - 1).Page()
 	return &Memory{
-		pages: make(map[Addr]*[PageSize]byte),
-		next:  (base + PageSize - 1).Page(),
+		base:   base,
+		next:   base,
+		sparse: make(map[Addr]*[PageSize]byte),
 	}
 }
 
@@ -75,45 +94,78 @@ func (m *Memory) AllocPages(n int) Addr {
 // Brk reports the current top of the allocated address range.
 func (m *Memory) Brk() Addr { return m.next }
 
+// lookup returns the page holding a, or nil if it was never written.
+func (m *Memory) lookup(a Addr) *[PageSize]byte {
+	if i := uint64(a-m.base) >> pageShift; i < uint64(len(m.dense)) {
+		return m.dense[i]
+	}
+	return m.sparse[a.Page()]
+}
+
+// page returns the page holding a, materializing it if needed.
 func (m *Memory) page(a Addr) *[PageSize]byte {
-	base := a.Page()
-	p, ok := m.pages[base]
-	if !ok {
+	i := uint64(a-m.base) >> pageShift
+	if i >= uint64(len(m.dense)) {
+		if a < m.base || a >= m.next || i >= maxDensePages {
+			return m.sparsePage(a)
+		}
+		m.grow()
+	}
+	p := m.dense[i]
+	if p == nil {
 		p = new([PageSize]byte)
-		m.pages[base] = p
+		m.dense[i] = p
+		m.pages++
 	}
 	return p
 }
 
+func (m *Memory) sparsePage(a Addr) *[PageSize]byte {
+	p, ok := m.sparse[a.Page()]
+	if !ok {
+		p = new([PageSize]byte)
+		m.sparse[a.Page()] = p
+		m.pages++
+	}
+	return p
+}
+
+// grow extends the dense table over the whole allocated range (up to
+// maxDensePages), moving in any sparse pages it now covers.
+func (m *Memory) grow() {
+	n := int(min(uint64(m.next-m.base-1)>>pageShift+1, maxDensePages))
+	m.dense = append(m.dense, make([]*[PageSize]byte, n-len(m.dense))...)
+	for base, p := range m.sparse {
+		if i := uint64(base-m.base) >> pageShift; i < uint64(n) {
+			m.dense[i] = p
+			delete(m.sparse, base)
+		}
+	}
+}
+
 // ByteAt returns the canonical value of the byte at a.
 func (m *Memory) ByteAt(a Addr) byte {
-	if p, ok := m.pages[a.Page()]; ok {
-		return p[a-a.Page()]
+	if p := m.lookup(a); p != nil {
+		return p[a&(PageSize-1)]
 	}
 	return 0
 }
 
 // SetByte sets the canonical value of the byte at a.
 func (m *Memory) SetByte(a Addr, v byte) {
-	m.page(a)[a-a.Page()] = v
+	m.page(a)[a&(PageSize-1)] = v
 }
 
 // Read copies len(dst) canonical bytes starting at a into dst. Reads may
 // cross page boundaries.
 func (m *Memory) Read(a Addr, dst []byte) {
 	for len(dst) > 0 {
-		base := a.Page()
-		off := int(a - base)
-		n := PageSize - off
-		if n > len(dst) {
-			n = len(dst)
-		}
-		if p, ok := m.pages[base]; ok {
+		off := int(a & (PageSize - 1))
+		n := min(PageSize-off, len(dst))
+		if p := m.lookup(a); p != nil {
 			copy(dst[:n], p[off:off+n])
 		} else {
-			for i := 0; i < n; i++ {
-				dst[i] = 0
-			}
+			clear(dst[:n])
 		}
 		dst = dst[n:]
 		a += Addr(n)
@@ -124,13 +176,8 @@ func (m *Memory) Read(a Addr, dst []byte) {
 // page boundaries.
 func (m *Memory) Write(a Addr, src []byte) {
 	for len(src) > 0 {
-		base := a.Page()
-		off := int(a - base)
-		n := PageSize - off
-		if n > len(src) {
-			n = len(src)
-		}
-		copy(m.page(a)[off:off+n], src[:n])
+		off := int(a & (PageSize - 1))
+		n := copy(m.page(a)[off:], src)
 		src = src[n:]
 		a += Addr(n)
 	}
@@ -160,4 +207,4 @@ func (m *Memory) WriteUint(a Addr, size int, v uint64) {
 }
 
 // PagesTouched reports how many distinct pages have been materialized.
-func (m *Memory) PagesTouched() int { return len(m.pages) }
+func (m *Memory) PagesTouched() int { return m.pages }

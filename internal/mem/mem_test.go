@@ -173,3 +173,78 @@ func TestAllocOverflowPanics(t *testing.T) {
 	mustPanic("size overflow", func() { m.Alloc(2*PageSize, 1) })
 	mustPanic("alignment overflow", func() { m.Alloc(1, 1<<40) })
 }
+
+// TestFarAddressUsesSparseTable: a page far outside the allocator's range
+// (as hand-written traces use) round-trips through the sparse table
+// without growing the dense one, and counts as touched.
+func TestFarAddressUsesSparseTable(t *testing.T) {
+	m := New(0)
+	a := m.AllocPages(2)
+	m.Write(a, []byte{1})
+	dense := len(m.dense)
+	if dense == 0 {
+		t.Fatal("a write inside the allocated range did not use the dense table")
+	}
+	far := Addr(1) << 47
+	m.Write(far+5, []byte{7, 8, 9})
+	got := make([]byte, 3)
+	m.Read(far+5, got)
+	if !bytes.Equal(got, []byte{7, 8, 9}) {
+		t.Fatalf("read at 1<<47 = %v, want [7 8 9]", got)
+	}
+	if len(m.dense) != dense {
+		t.Fatalf("a write at 1<<47 grew the dense table from %d to %d pages", dense, len(m.dense))
+	}
+	if n := m.PagesTouched(); n != 2 {
+		t.Fatalf("PagesTouched = %d, want 2 (one dense, one sparse)", n)
+	}
+	m.SetByte(far+4096, 3)
+	if n := m.PagesTouched(); n != 3 || m.ByteAt(far+4096) != 3 {
+		t.Fatalf("PagesTouched = %d after SetByte on a second sparse page, want 3", n)
+	}
+}
+
+// TestReadSpansTouchedAndUntouchedPages: a read across a page boundary
+// returns the written bytes of the touched page and zeros for the other.
+func TestReadSpansTouchedAndUntouchedPages(t *testing.T) {
+	m := New(0)
+	a := m.AllocPages(2)
+	m.Write(a+PageSize-2, []byte{5, 6})
+	got := []byte{9, 9, 9, 9}
+	m.Read(a+PageSize-2, got)
+	if !bytes.Equal(got, []byte{5, 6, 0, 0}) {
+		t.Fatalf("read across the boundary = %v, want [5 6 0 0]", got)
+	}
+	// The other way round: an untouched first page, a touched second.
+	b := m.AllocPages(2)
+	m.Write(b+PageSize, []byte{1, 2})
+	got = []byte{9, 9, 9, 9}
+	m.Read(b+PageSize-2, got)
+	if !bytes.Equal(got, []byte{0, 0, 1, 2}) {
+		t.Fatalf("read across the boundary = %v, want [0 0 1 2]", got)
+	}
+	if n := m.PagesTouched(); n != 2 {
+		t.Fatalf("PagesTouched = %d, want 2", n)
+	}
+}
+
+// TestSparsePageMovesIntoDenseTable: a page written above Brk lives in the
+// sparse table until the allocator's range grows over it; it then joins
+// the dense table with its contents and is still counted once.
+func TestSparsePageMovesIntoDenseTable(t *testing.T) {
+	m := New(0)
+	m.AllocPages(1)
+	above := m.Brk() + 3*PageSize
+	m.Write(above, []byte{4})
+	if len(m.sparse) != 1 {
+		t.Fatalf("a write above Brk left %d sparse pages, want 1", len(m.sparse))
+	}
+	m.AllocPages(8)
+	m.Write(m.Brk()-1, []byte{6}) // grows the dense table over above
+	if len(m.sparse) != 0 || m.ByteAt(above) != 4 || m.ByteAt(m.Brk()-1) != 6 {
+		t.Fatalf("after growth: %d sparse pages, byte %d at the moved page", len(m.sparse), m.ByteAt(above))
+	}
+	if n := m.PagesTouched(); n != 2 {
+		t.Fatalf("PagesTouched = %d, want 2", n)
+	}
+}

@@ -242,9 +242,9 @@ func (p *impl) SyncPoint(c int) uint64 {
 	s := p.s
 	swept := p.swept[:0]
 	_, l2 := s.PrivateCaches()
-	l2[c].ForEach(func(ln *cache.Line) {
+	l2[c].ForEach(func(ln cache.Line) {
 		if e := s.Directory().Lookup(ln.Addr); e != nil && e.State == cache.Shared {
-			swept = append(swept, *ln)
+			swept = append(swept, ln)
 		}
 	})
 	// Addresses are distinct within one cache, so the walk order of the
