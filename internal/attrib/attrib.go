@@ -94,12 +94,6 @@ type Account struct {
 	Events uint64 // instruction count
 }
 
-// threadTotal reconstructs one thread's clock two independent ways.
-type threadTotal struct {
-	sum   uint64 // sum of Advance over the thread's events
-	clock uint64 // max over events of Cycle+Advance (the post-op clock)
-}
-
 // Sample is one point of the cumulative attributed-cycles series, for
 // counter tracks: total cycles attributed per kind up to Cycle.
 type Sample struct {
@@ -108,21 +102,68 @@ type Sample struct {
 	Untimed uint64 // events observed so far (all kinds)
 }
 
+// numKinds bounds the dense per-kind tables: the instruction-level kinds,
+// the only ones the ledger charges.
+const numKinds = int(core.EvDrain) + 1
+
+// Interned ids of the pseudo-phases.
+const (
+	outsideID int32 = iota
+	systemID
+)
+
+// account is the dense form of one ledger cell. Phase is an interned id;
+// the Key/Account form is built only when a report asks for rows.
+type account struct {
+	thread int
+	core   int
+	bucket uint64
+	cycles uint64
+	events uint64
+	phase  int32
+	kind   core.EventKind
+}
+
+// threadSlot is one thread's slot in the ledger.
+type threadSlot struct {
+	// seen marks a thread with at least one instruction event; sum and
+	// clock reconstruct its clock two independent ways: the sum of
+	// Advance over its events, and the max over events of Cycle+Advance
+	// (the post-op clock).
+	seen       bool
+	sum, clock uint64
+	stack      []int32 // open phases (interned ids), innermost last
+	// last caches, per kind, 1 + the index of the account the thread's
+	// latest event of that kind was charged to (0: none yet). Consecutive
+	// events of a kind mostly hit the same bucket and phase, and then skip
+	// the index altogether.
+	last [numKinds]int32
+}
+
 // Ledger is the attribution sink. Not safe for concurrent use; the event
 // stream is serialized by construction.
+//
+// Its tables are dense: threads is indexed by thread id + 1 (slot 0 holds
+// the threadless id -1), phases are interned to int32 ids, per-kind totals
+// are an array indexed by kind, and accounts live in one slice found
+// through a per-thread, per-kind last-account cache backed by an
+// open-addressing index over the whole key. No event hashes a string.
 type Ledger struct {
-	cfg      Config
-	accounts map[Key]*Account
-	threads  map[int]*threadTotal
-	stacks   map[int][]string // per-thread open-phase stack (LIFO)
-	flight   *Flight
+	cfg     Config
+	threads []threadSlot
+	accts   []account
+	index   []int32 // open addressing: 1 + index into accts, 0 = empty
+	phases  []string
+	phaseID map[string]int32
+	flight  *Flight
 
 	// Unbalanced counts EvPhaseEnd markers that did not match the top of
 	// their thread's stack. Always zero for runtime-emitted markers.
 	Unbalanced uint64
 
 	events   uint64
-	perKind  map[core.EventKind]uint64 // cumulative cycles per kind
+	perKind  [numKinds]uint64 // cumulative cycles per kind
+	kindSeen uint32           // bit k: kind k has been charged (even zero cycles)
 	samples  []Sample
 	reconOK  bool
 	reconFor uint64
@@ -132,12 +173,10 @@ type Ledger struct {
 func New(cfg Config) *Ledger {
 	cfg = cfg.withDefaults()
 	return &Ledger{
-		cfg:      cfg,
-		accounts: make(map[Key]*Account),
-		threads:  make(map[int]*threadTotal),
-		stacks:   make(map[int][]string),
-		perKind:  make(map[core.EventKind]uint64),
-		flight:   newFlight(cfg),
+		cfg:     cfg,
+		phases:  []string{outsideID: OutsidePhase, systemID: SystemPhase},
+		phaseID: map[string]int32{OutsidePhase: outsideID, SystemPhase: systemID},
+		flight:  newFlight(cfg),
 	}
 }
 
@@ -155,12 +194,13 @@ func (l *Ledger) Event(ev *core.Event) {
 	l.events++
 	switch ev.Kind {
 	case core.EvPhaseBegin:
-		l.stacks[ev.Thread] = append(l.stacks[ev.Thread], ev.Label)
+		th := l.thread(ev.Thread)
+		th.stack = append(th.stack, l.intern(ev.Label))
 		return
 	case core.EvPhaseEnd:
-		st := l.stacks[ev.Thread]
-		if n := len(st); n > 0 && st[n-1] == ev.Label {
-			l.stacks[ev.Thread] = st[:n-1]
+		th := l.thread(ev.Thread)
+		if n := len(th.stack); n > 0 && l.phases[th.stack[n-1]] == ev.Label {
+			th.stack = th.stack[:n-1]
 		} else {
 			l.Unbalanced++
 		}
@@ -169,37 +209,114 @@ func (l *Ledger) Event(ev *core.Event) {
 		l.flight.observe(ev)
 		return
 	}
-	// Instruction-level event: charge its Advance to the account.
+	// Instruction-level event: charge its Advance to the account of its
+	// thread, kind, bucket and innermost open phase.
+	th := l.thread(ev.Thread)
+	phase := systemID
 	if ev.Thread >= 0 {
-		tt := l.threads[ev.Thread]
-		if tt == nil {
-			tt = &threadTotal{}
-			l.threads[ev.Thread] = tt
+		th.seen = true
+		th.sum += ev.Advance
+		if end := ev.Cycle + ev.Advance; end > th.clock {
+			th.clock = end
 		}
-		tt.sum += ev.Advance
-		if end := ev.Cycle + ev.Advance; end > tt.clock {
-			tt.clock = end
+		phase = outsideID
+		if n := len(th.stack); n > 0 {
+			phase = th.stack[n-1]
 		}
 	}
-	k := Key{Thread: ev.Thread, Kind: ev.Kind, Bucket: l.bucketOf(ev), Phase: l.phaseOf(ev)}
-	acct := l.accounts[k]
-	if acct == nil {
-		acct = &Account{Key: k, Core: ev.Core}
-		l.accounts[k] = acct
+	bucket := l.bucketOf(ev)
+	i := th.last[ev.Kind] - 1
+	if i < 0 || l.accts[i].bucket != bucket || l.accts[i].phase != phase {
+		i = l.account(ev.Thread, ev.Kind, bucket, phase, ev.Core)
+		th.last[ev.Kind] = i + 1
 	}
-	acct.Cycles += ev.Advance
-	acct.Events++
+	a := &l.accts[i]
+	a.cycles += ev.Advance
+	a.events++
 	l.perKind[ev.Kind] += ev.Advance
+	l.kindSeen |= 1 << uint(ev.Kind)
 	if l.cfg.SampleEvery > 0 && l.events%l.cfg.SampleEvery == 0 {
 		l.sample(ev.Cycle + ev.Advance)
 	}
 }
 
-// sample appends one cumulative per-kind point.
+// thread returns t's slot (t >= -1), creating it on first use.
+func (l *Ledger) thread(t int) *threadSlot {
+	if t+1 >= len(l.threads) {
+		l.threads = append(l.threads, make([]threadSlot, t+2-len(l.threads))...)
+	}
+	return &l.threads[t+1]
+}
+
+// intern returns the id of phase name, assigning the next one if new.
+func (l *Ledger) intern(name string) int32 {
+	id, ok := l.phaseID[name]
+	if !ok {
+		id = int32(len(l.phases))
+		l.phases = append(l.phases, name)
+		l.phaseID[name] = id
+	}
+	return id
+}
+
+// account returns the index of the account for the full key, creating it
+// (owned by coreID) if new.
+func (l *Ledger) account(t int, kind core.EventKind, bucket uint64, phase int32, coreID int) int32 {
+	if 2*(len(l.accts)+1) > len(l.index) {
+		l.grow()
+	}
+	mask := uint64(len(l.index) - 1)
+	for h := hashKey(t, kind, bucket, phase) & mask; ; h = (h + 1) & mask {
+		j := l.index[h]
+		if j == 0 {
+			l.accts = append(l.accts, account{thread: t, core: coreID, bucket: bucket, phase: phase, kind: kind})
+			l.index[h] = int32(len(l.accts))
+			return int32(len(l.accts) - 1)
+		}
+		if a := &l.accts[j-1]; a.bucket == bucket && a.thread == t && a.kind == kind && a.phase == phase {
+			return j - 1
+		}
+	}
+}
+
+// grow doubles the account index (64 slots at first) and reinserts every
+// account, keeping the load factor at most one half.
+func (l *Ledger) grow() {
+	n := 2 * len(l.index)
+	if n == 0 {
+		n = 64
+	}
+	l.index = make([]int32, n)
+	mask := uint64(n - 1)
+	for i := range l.accts {
+		a := &l.accts[i]
+		h := hashKey(a.thread, a.kind, a.bucket, a.phase) & mask
+		for l.index[h] != 0 {
+			h = (h + 1) & mask
+		}
+		l.index[h] = int32(i + 1)
+	}
+}
+
+// hashKey mixes an account key into 64 bits (the splitmix64 finalizer).
+// The index verifies every field, so collisions cost a probe, never
+// exactness.
+func hashKey(t int, kind core.EventKind, bucket uint64, phase int32) uint64 {
+	h := bucket ^ (uint64(t)<<8|uint64(kind))*0x9e3779b97f4a7c15 ^ uint64(phase)*0xc2b2ae3d27d4eb4f
+	h ^= h >> 30
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 27
+	h *= 0x94d049bb133111eb
+	return h ^ h>>31
+}
+
+// sample appends one cumulative per-kind point over the kinds seen so far.
 func (l *Ledger) sample(cycle uint64) {
-	by := make(map[string]uint64, len(l.perKind))
-	for k, v := range l.perKind {
-		by[k.String()] = v
+	by := make(map[string]uint64)
+	for k := range l.perKind {
+		if l.kindSeen&(1<<uint(k)) != 0 {
+			by[core.EventKind(k).String()] = l.perKind[k]
+		}
 	}
 	l.samples = append(l.samples, Sample{Cycle: cycle, ByKind: by, Untimed: l.events})
 }
@@ -217,25 +334,25 @@ func (l *Ledger) bucketOf(ev *core.Event) uint64 {
 	return NoBucket
 }
 
-// phaseOf charges an instruction event to the innermost phase open on its
-// thread, like telemetry's PhaseAccount.
-func (l *Ledger) phaseOf(ev *core.Event) string {
-	if ev.Thread < 0 {
-		return SystemPhase
-	}
-	if st := l.stacks[ev.Thread]; len(st) > 0 {
-		return st[len(st)-1]
-	}
-	return OutsidePhase
-}
-
 // Rows returns every account in deterministic order: thread, kind, bucket,
 // phase ascending.
 func (l *Ledger) Rows() []*Account {
-	rows := make([]*Account, 0, len(l.accounts))
-	for _, a := range l.accounts {
-		rows = append(rows, a)
+	cells := make([]Account, len(l.accts))
+	rows := make([]*Account, len(l.accts))
+	for i := range l.accts {
+		a := &l.accts[i]
+		cells[i] = Account{
+			Key:  Key{Thread: a.thread, Kind: a.kind, Bucket: a.bucket, Phase: l.phases[a.phase]},
+			Core: a.core, Cycles: a.cycles, Events: a.events,
+		}
+		rows[i] = &cells[i]
 	}
+	sortRows(rows)
+	return rows
+}
+
+// sortRows orders accounts by thread, kind, bucket, phase.
+func sortRows(rows []*Account) {
 	sort.Slice(rows, func(i, j int) bool {
 		a, b := rows[i], rows[j]
 		if a.Thread != b.Thread {
@@ -249,16 +366,26 @@ func (l *Ledger) Rows() []*Account {
 		}
 		return a.Phase < b.Phase
 	})
-	return rows
+}
+
+// dims sums thread t's accounts by attribution dimension.
+func (l *Ledger) dims(t int) map[DimKey]uint64 {
+	acc := make(map[DimKey]uint64)
+	for i := range l.accts {
+		if a := &l.accts[i]; a.thread == t {
+			acc[DimKey{Kind: a.kind, Bucket: a.bucket, Phase: l.phases[a.phase]}] += a.cycles
+		}
+	}
+	return acc
 }
 
 // ThreadCycles returns thread t's reconstructed final clock (0 if the
 // thread emitted no events).
 func (l *Ledger) ThreadCycles(t int) uint64 {
-	if tt := l.threads[t]; tt != nil {
-		return tt.clock
+	if t < 0 || t+1 >= len(l.threads) {
+		return 0
 	}
-	return 0
+	return l.threads[t+1].clock
 }
 
 // CriticalThread returns the thread whose final clock equals the run's
@@ -266,9 +393,9 @@ func (l *Ledger) ThreadCycles(t int) uint64 {
 // ok is false when the ledger saw no threaded instruction events.
 func (l *Ledger) CriticalThread() (thread int, cycles uint64, ok bool) {
 	thread = -1
-	for id, tt := range l.threads {
-		if !ok || tt.clock > cycles || (tt.clock == cycles && id < thread) {
-			thread, cycles, ok = id, tt.clock, true
+	for t := 0; t+1 < len(l.threads); t++ {
+		if th := &l.threads[t+1]; th.seen && (!ok || th.clock > cycles) {
+			thread, cycles, ok = t, th.clock, true
 		}
 	}
 	return thread, cycles, ok
@@ -277,17 +404,21 @@ func (l *Ledger) CriticalThread() (thread int, cycles uint64, ok bool) {
 // Reconcile verifies the ledger against the measured run cycle count: per
 // thread, the sum of charged advances must equal the reconstructed clock,
 // and the maximum clock must equal total. Any difference is returned as an
-// error naming the residue — attribution that does not reconcile exactly
-// is always a bug.
+// error naming the residue (the lowest-numbered thread's first) —
+// attribution that does not reconcile exactly is always a bug.
 func (l *Ledger) Reconcile(total uint64) error {
 	var maxClock uint64
-	for id, tt := range l.threads {
-		if tt.sum != tt.clock {
-			return fmt.Errorf("attrib: thread %d residue: sum of advances %d != final clock %d (residue %d)",
-				id, tt.sum, tt.clock, int64(tt.sum)-int64(tt.clock))
+	for t := 0; t+1 < len(l.threads); t++ {
+		th := &l.threads[t+1]
+		if !th.seen {
+			continue
 		}
-		if tt.clock > maxClock {
-			maxClock = tt.clock
+		if th.sum != th.clock {
+			return fmt.Errorf("attrib: thread %d residue: sum of advances %d != final clock %d (residue %d)",
+				t, th.sum, th.clock, int64(th.sum)-int64(th.clock))
+		}
+		if th.clock > maxClock {
+			maxClock = th.clock
 		}
 	}
 	if maxClock != total {
@@ -322,9 +453,11 @@ func BucketLabel(b uint64) string {
 
 // WriteJSONL dumps the ledger accounts, one JSON object per line, in
 // deterministic row order.
-func (l *Ledger) WriteJSONL(w io.Writer) error {
+func (l *Ledger) WriteJSONL(w io.Writer) error { return writeJSONL(w, l.Rows()) }
+
+func writeJSONL(w io.Writer, rows []*Account) error {
 	enc := json.NewEncoder(w)
-	for _, a := range l.Rows() {
+	for _, a := range rows {
 		row := accountJSON{
 			Thread: a.Thread, Core: a.Core, Kind: a.Kind.String(),
 			Bucket: BucketLabel(a.Bucket), Phase: a.Phase,

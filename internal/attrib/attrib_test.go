@@ -2,6 +2,10 @@ package attrib
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -238,5 +242,320 @@ func TestSampling(t *testing.T) {
 	}
 	if s[2].ByKind["load"] != 24 {
 		t.Fatalf("last sample cumulative = %d, want 24", s[2].ByKind["load"])
+	}
+}
+
+// refLedger is the map-based ledger the dense Ledger replaced, kept as the
+// reference model for TestLedgerMatchesReference. It keys every account by
+// its full Key, phase string included, in plain Go maps. Reconcile walks
+// thread ids in ascending order, so that with several residues it names
+// the same thread on every run.
+type refLedger struct {
+	cfg        Config
+	accounts   map[Key]*Account
+	threads    map[int]*refTotal
+	stacks     map[int][]string
+	unbalanced uint64
+	events     uint64
+	perKind    map[core.EventKind]uint64
+	samples    []Sample
+}
+
+type refTotal struct{ sum, clock uint64 }
+
+func newRef(cfg Config) *refLedger {
+	return &refLedger{
+		cfg:      cfg.withDefaults(),
+		accounts: make(map[Key]*Account),
+		threads:  make(map[int]*refTotal),
+		stacks:   make(map[int][]string),
+		perKind:  make(map[core.EventKind]uint64),
+	}
+}
+
+func (l *refLedger) Event(ev *core.Event) {
+	l.events++
+	switch ev.Kind {
+	case core.EvPhaseBegin:
+		l.stacks[ev.Thread] = append(l.stacks[ev.Thread], ev.Label)
+		return
+	case core.EvPhaseEnd:
+		st := l.stacks[ev.Thread]
+		if n := len(st); n > 0 && st[n-1] == ev.Label {
+			l.stacks[ev.Thread] = st[:n-1]
+		} else {
+			l.unbalanced++
+		}
+		return
+	case core.EvTransaction, core.EvEvict, core.EvReconcile:
+		return
+	}
+	if ev.Thread >= 0 {
+		tt := l.threads[ev.Thread]
+		if tt == nil {
+			tt = &refTotal{}
+			l.threads[ev.Thread] = tt
+		}
+		tt.sum += ev.Advance
+		if end := ev.Cycle + ev.Advance; end > tt.clock {
+			tt.clock = end
+		}
+	}
+	bucket := NoBucket
+	switch ev.Kind {
+	case core.EvLoad, core.EvStore, core.EvAtomic:
+		bucket = uint64(ev.Block) &^ (l.cfg.BucketBytes - 1)
+	}
+	phase := OutsidePhase
+	if ev.Thread < 0 {
+		phase = SystemPhase
+	} else if st := l.stacks[ev.Thread]; len(st) > 0 {
+		phase = st[len(st)-1]
+	}
+	k := Key{Thread: ev.Thread, Kind: ev.Kind, Bucket: bucket, Phase: phase}
+	acct := l.accounts[k]
+	if acct == nil {
+		acct = &Account{Key: k, Core: ev.Core}
+		l.accounts[k] = acct
+	}
+	acct.Cycles += ev.Advance
+	acct.Events++
+	l.perKind[ev.Kind] += ev.Advance
+	if l.cfg.SampleEvery > 0 && l.events%l.cfg.SampleEvery == 0 {
+		by := make(map[string]uint64, len(l.perKind))
+		for k, v := range l.perKind {
+			by[k.String()] = v
+		}
+		l.samples = append(l.samples, Sample{Cycle: ev.Cycle + ev.Advance, ByKind: by, Untimed: l.events})
+	}
+}
+
+func (l *refLedger) Rows() []*Account {
+	rows := make([]*Account, 0, len(l.accounts))
+	for _, a := range l.accounts {
+		c := *a
+		rows = append(rows, &c)
+	}
+	sortRows(rows)
+	return rows
+}
+
+func (l *refLedger) ThreadCycles(t int) uint64 {
+	if tt := l.threads[t]; tt != nil {
+		return tt.clock
+	}
+	return 0
+}
+
+func (l *refLedger) CriticalThread() (thread int, cycles uint64, ok bool) {
+	thread = -1
+	for id, tt := range l.threads {
+		if !ok || tt.clock > cycles || (tt.clock == cycles && id < thread) {
+			thread, cycles, ok = id, tt.clock, true
+		}
+	}
+	return thread, cycles, ok
+}
+
+func (l *refLedger) Reconcile(total uint64) error {
+	ids := make([]int, 0, len(l.threads))
+	for id := range l.threads {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	var maxClock uint64
+	for _, id := range ids {
+		tt := l.threads[id]
+		if tt.sum != tt.clock {
+			return fmt.Errorf("attrib: thread %d residue: sum of advances %d != final clock %d (residue %d)",
+				id, tt.sum, tt.clock, int64(tt.sum)-int64(tt.clock))
+		}
+		if tt.clock > maxClock {
+			maxClock = tt.clock
+		}
+	}
+	if maxClock != total {
+		return fmt.Errorf("attrib: run residue: max thread clock %d != measured cycles %d (residue %d)",
+			maxClock, total, int64(maxClock)-int64(total))
+	}
+	return nil
+}
+
+func (l *refLedger) dims(t int) map[DimKey]uint64 {
+	acc := make(map[DimKey]uint64)
+	for _, a := range l.accounts {
+		if a.Thread == t {
+			acc[DimKey{Kind: a.Kind, Bucket: a.Bucket, Phase: a.Phase}] += a.Cycles
+		}
+	}
+	return acc
+}
+
+// genStream builds a seeded random event stream: instruction events of
+// every kind (zero advances and address-less kinds included) on threads
+// -1..5, nested, mismatched and foreign-thread phase markers, and flight
+// events. With residue set, some events jump their thread's clock, so the
+// per-thread sums and clocks disagree.
+func genStream(rng *rand.Rand, n int, residue bool) []core.Event {
+	labels := []string{"build", "reduce", "scan", OutsidePhase, SystemPhase}
+	clocks := map[int]uint64{}
+	open := map[int][]string{}
+	var evs []core.Event
+	for i := 0; i < n; i++ {
+		t := rng.Intn(7) - 1
+		switch r := rng.Intn(20); {
+		case r < 2:
+			l := labels[rng.Intn(len(labels))]
+			open[t] = append(open[t], l)
+			evs = append(evs, core.Event{Kind: core.EvPhaseBegin, Thread: t, Label: l})
+		case r < 4:
+			l := labels[rng.Intn(len(labels))]
+			if st := open[t]; len(st) > 0 && rng.Intn(3) > 0 {
+				l = st[len(st)-1] // mostly balanced
+				open[t] = st[:len(st)-1]
+			}
+			if rng.Intn(4) == 0 {
+				t = rng.Intn(7) - 1 // foreign thread
+			}
+			evs = append(evs, core.Event{Kind: core.EvPhaseEnd, Thread: t, Label: l})
+		case r < 5:
+			evs = append(evs, core.Event{Kind: core.EvTransaction, Thread: t, Block: mem.Addr(rng.Intn(8) * 64)})
+		default:
+			kind := core.EventKind(rng.Intn(int(core.EvDrain) + 1))
+			adv := uint64(rng.Intn(4))
+			if rng.Intn(8) == 0 {
+				adv = uint64(rng.Intn(200))
+			}
+			cycle := clocks[t]
+			if residue && rng.Intn(50) == 0 {
+				cycle += uint64(rng.Intn(5))
+			}
+			clocks[t] = cycle + adv
+			evs = append(evs, core.Event{
+				Kind: kind, Thread: t, Core: t / 2, Cycle: cycle, Advance: adv,
+				Block: mem.Addr(rng.Intn(1 << 14)),
+			})
+		}
+	}
+	return evs
+}
+
+// TestLedgerMatchesReference feeds the dense Ledger and the map-based
+// refLedger the same random streams and requires every output to agree:
+// rows, JSONL bytes, per-thread clocks, the critical thread, Reconcile's
+// verdict and text, samples, the unbalanced count, and Explain's report.
+func TestLedgerMatchesReference(t *testing.T) {
+	explained := 0
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := Config{
+			BucketBytes: []uint64{1, 64, 4096}[rng.Intn(3)],
+			SampleEvery: []uint64{0, 1, 3, 7}[rng.Intn(4)],
+		}
+		residue := seed%4 == 3
+		build := func() (*Ledger, *refLedger) {
+			l, r := New(cfg), newRef(cfg)
+			for _, ev := range genStream(rng, 50+rng.Intn(400), residue) {
+				e := ev
+				l.Event(&e)
+				r.Event(&ev)
+			}
+			return l, r
+		}
+		l, r := build()
+		where := fmt.Sprintf("seed %d (cfg %+v)", seed, cfg)
+		compareLedgers(t, where, l, r)
+		if t.Failed() {
+			return
+		}
+
+		// Explain over a second pair, both sides reconciled at their
+		// critical clocks (or rejected identically when they cannot be).
+		l2, r2 := build()
+		_, sc, _ := r.CriticalThread()
+		_, bc, _ := r2.CriticalThread()
+		ex, err := Explain("subject", l, sc, "baseline", l2, bc)
+		rex, rerr := explain("subject", r, sc, "baseline", r2, bc)
+		if fmt.Sprint(err) != fmt.Sprint(rerr) {
+			t.Fatalf("%s: Explain error %v, reference %v", where, err, rerr)
+		}
+		if err != nil {
+			continue
+		}
+		var got, want bytes.Buffer
+		if err := ex.WriteText(&got, 5); err != nil {
+			t.Fatal(err)
+		}
+		if err := rex.WriteText(&want, 5); err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != want.String() {
+			t.Fatalf("%s: Explain text differs:\n%s\nreference:\n%s", where, got.String(), want.String())
+		}
+		explained++
+	}
+	if explained < 100 {
+		t.Fatalf("only %d of 200 seeds reached an explanation", explained)
+	}
+}
+
+func compareLedgers(t *testing.T, where string, l *Ledger, r *refLedger) {
+	t.Helper()
+	rows, rrows := l.Rows(), r.Rows()
+	if len(rows) != len(rrows) {
+		t.Fatalf("%s: %d rows, reference %d", where, len(rows), len(rrows))
+	}
+	for i := range rows {
+		if *rows[i] != *rrows[i] {
+			t.Fatalf("%s: row %d = %+v, reference %+v", where, i, *rows[i], *rrows[i])
+		}
+	}
+	var got, want bytes.Buffer
+	if err := l.WriteJSONL(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeJSONL(&want, rrows); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("%s: JSONL differs:\n%s\nreference:\n%s", where, got.String(), want.String())
+	}
+	for th := -2; th <= 7; th++ {
+		if a, b := l.ThreadCycles(th), r.ThreadCycles(th); a != b {
+			t.Fatalf("%s: ThreadCycles(%d) = %d, reference %d", where, th, a, b)
+		}
+	}
+	ct, cc, cok := l.CriticalThread()
+	rt, rc, rok := r.CriticalThread()
+	if ct != rt || cc != rc || cok != rok {
+		t.Fatalf("%s: CriticalThread = %d,%d,%v, reference %d,%d,%v", where, ct, cc, cok, rt, rc, rok)
+	}
+	for _, total := range []uint64{rc, rc + 1, 0} {
+		err, rerr := l.Reconcile(total), r.Reconcile(total)
+		if fmt.Sprint(err) != fmt.Sprint(rerr) {
+			t.Fatalf("%s: Reconcile(%d) = %v, reference %v", where, total, err, rerr)
+		}
+	}
+	if !reflect.DeepEqual(l.Samples(), r.samples) {
+		t.Fatalf("%s: samples differ:\n%+v\nreference:\n%+v", where, l.Samples(), r.samples)
+	}
+	if l.Unbalanced != r.unbalanced || l.Events() != r.events {
+		t.Fatalf("%s: Unbalanced/Events = %d/%d, reference %d/%d", where, l.Unbalanced, l.Events(), r.unbalanced, r.events)
+	}
+}
+
+// BenchmarkLedgerEvent measures folding one instruction event into a
+// ledger whose accounts already exist: loads on a thread inside a phase,
+// switching between two pages every fourth event, so one event in four
+// takes a different account than the one before it.
+func BenchmarkLedgerEvent(b *testing.B) {
+	l := New(Config{})
+	l.Event(&core.Event{Kind: core.EvPhaseBegin, Thread: 3, Label: "build"})
+	ev := core.Event{Kind: core.EvLoad, Thread: 3, Core: 1, Advance: 2}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ev.Block = mem.Addr(i>>2&1) << 12
+		ev.Cycle = uint64(2 * i)
+		l.Event(&ev)
 	}
 }

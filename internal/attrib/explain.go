@@ -43,9 +43,18 @@ type Explanation struct {
 	Deltas         []Delta // every bucket, |Delta| descending
 }
 
+// ledgerView is what Explain reads from each side's ledger; the tests
+// pass their map-based reference ledger through it.
+type ledgerView interface {
+	Reconcile(total uint64) error
+	CriticalThread() (thread int, cycles uint64, ok bool)
+	// dims sums one thread's accounts by attribution dimension.
+	dims(thread int) map[DimKey]uint64
+}
+
 // criticalAccounts gathers one side's critical-thread accounts keyed by
 // dimension, verifying they sum to the side's cycle total.
-func criticalAccounts(name string, l *Ledger, cycles uint64) (int, map[DimKey]uint64, error) {
+func criticalAccounts(name string, l ledgerView, cycles uint64) (int, map[DimKey]uint64, error) {
 	thread, clock, ok := l.CriticalThread()
 	if !ok {
 		if cycles != 0 {
@@ -57,14 +66,10 @@ func criticalAccounts(name string, l *Ledger, cycles uint64) (int, map[DimKey]ui
 		return -1, nil, fmt.Errorf("attrib: %s residue: critical thread %d clock %d != measured cycles %d",
 			name, thread, clock, cycles)
 	}
-	acc := make(map[DimKey]uint64)
+	acc := l.dims(thread)
 	var sum uint64
-	for _, a := range l.accounts {
-		if a.Thread != thread {
-			continue
-		}
-		acc[DimKey{Kind: a.Kind, Bucket: a.Bucket, Phase: a.Phase}] += a.Cycles
-		sum += a.Cycles
+	for _, c := range acc {
+		sum += c
 	}
 	if sum != cycles {
 		return -1, nil, fmt.Errorf("attrib: %s residue: critical-thread accounts sum %d != measured cycles %d (residue %d)",
@@ -79,6 +84,11 @@ func criticalAccounts(name string, l *Ledger, cycles uint64) (int, map[DimKey]ui
 // error, never a warning.
 func Explain(subjectName string, subject *Ledger, subjectCycles uint64,
 	baselineName string, baseline *Ledger, baselineCycles uint64) (*Explanation, error) {
+	return explain(subjectName, subject, subjectCycles, baselineName, baseline, baselineCycles)
+}
+
+func explain(subjectName string, subject ledgerView, subjectCycles uint64,
+	baselineName string, baseline ledgerView, baselineCycles uint64) (*Explanation, error) {
 	if err := subject.Reconcile(subjectCycles); err != nil {
 		return nil, fmt.Errorf("subject %s: %w", subjectName, err)
 	}

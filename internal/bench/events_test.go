@@ -136,7 +136,9 @@ func TestEventDeltasPartitionCounters(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if want := res.Counters.Snap(); sum.s != want {
+				var want stats.Snapshot
+				res.Counters.SnapInto(&want)
+				if sum.s != want {
 					t.Errorf("%s/%v/%d sockets: event deltas do not sum to the counters:\ndeltas:   %+v\ncounters: %+v",
 						name, proto, sockets, sum.s, want)
 				}

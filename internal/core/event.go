@@ -263,24 +263,21 @@ func (s *System) dirTransaction(core int, block mem.Addr, mode AccessMode) (cach
 	if s.sink == nil {
 		return s.dirTransact(core, block, mode)
 	}
-	before := s.ctr.Snap()
+	var before stats.Snapshot
+	s.ctr.SnapInto(&before)
 	db, ob, sb := s.dirPeek(block)
 	st, lat := s.dirTransact(core, block, mode)
 	ev := &s.ev
-	*ev = Event{
-		Kind:          EvTransaction,
-		Thread:        s.evThread,
-		Core:          core,
-		Cycle:         s.evCycle,
-		Addr:          block,
-		Block:         block,
-		Mode:          mode,
-		DirBefore:     db,
-		OwnerBefore:   ob,
-		SharersBefore: sb,
-		Latency:       lat,
-		Ctrs:          s.ctr.Snap().Sub(before),
-	}
+	*ev = Event{}
+	ev.Kind = EvTransaction
+	ev.Thread = s.evThread
+	ev.Core = core
+	ev.Cycle = s.evCycle
+	ev.Addr, ev.Block = block, block
+	ev.Mode = mode
+	ev.DirBefore, ev.OwnerBefore, ev.SharersBefore = db, ob, sb
+	ev.Latency = lat
+	s.ctr.DeltaInto(&ev.Ctrs, &before)
 	ev.DirAfter, ev.OwnerAfter, ev.SharersAfter = s.dirPeek(block)
 	if ev.DirAfter == cache.Ward {
 		if e := s.dir.Lookup(block); e != nil {

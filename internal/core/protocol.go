@@ -295,7 +295,7 @@ func (s *System) evictL2Victim(core int, ev cache.Eviction) {
 	var ob int
 	var sb coherence.Bitset
 	if s.sink != nil {
-		before = s.ctr.Snap()
+		s.ctr.SnapInto(&before)
 		db, ob, sb = s.dirPeek(ev.Addr)
 	}
 
@@ -310,19 +310,15 @@ func (s *System) evictL2Victim(core int, ev cache.Eviction) {
 
 	if s.sink != nil {
 		evn := &s.ev
-		*evn = Event{
-			Kind:          EvEvict,
-			Thread:        s.evThread,
-			Core:          core,
-			Cycle:         s.evCycle,
-			Addr:          ev.Addr,
-			Block:         ev.Addr,
-			LineState:     ev.State,
-			DirBefore:     db,
-			OwnerBefore:   ob,
-			SharersBefore: sb,
-			Ctrs:          s.ctr.Snap().Sub(before),
-		}
+		*evn = Event{}
+		evn.Kind = EvEvict
+		evn.Thread = s.evThread
+		evn.Core = core
+		evn.Cycle = s.evCycle
+		evn.Addr, evn.Block = ev.Addr, ev.Addr
+		evn.LineState = ev.State
+		evn.DirBefore, evn.OwnerBefore, evn.SharersBefore = db, ob, sb
+		s.ctr.DeltaInto(&evn.Ctrs, &before)
 		evn.DirAfter, evn.OwnerAfter, evn.SharersAfter = s.dirPeek(ev.Addr)
 		s.emit(evn)
 	}
@@ -426,7 +422,7 @@ func (s *System) applyMask(block mem.Addr, wc *wardCopy) {
 func (s *System) reconcileBlock(block mem.Addr, e *coherence.Entry, forgetRegion bool) {
 	var before stats.Snapshot
 	if s.sink != nil {
-		before = s.ctr.Snap()
+		s.ctr.SnapInto(&before)
 	}
 	holders := e.Sharers
 	region := RegionID(e.Region)
@@ -501,20 +497,16 @@ func (s *System) reconcileBlock(block mem.Addr, e *coherence.Entry, forgetRegion
 
 	if s.sink != nil {
 		ev := &s.ev
-		*ev = Event{
-			Kind:          EvReconcile,
-			Thread:        s.evThread,
-			Core:          -1,
-			Cycle:         s.evCycle,
-			Addr:          block,
-			Block:         block,
-			Region:        region,
-			Arg1:          uint64(writers),
-			Arg2:          uint64(totalMask),
-			DirBefore:     cache.Ward,
-			SharersBefore: holders,
-			Ctrs:          s.ctr.Snap().Sub(before),
-		}
+		*ev = Event{}
+		ev.Kind = EvReconcile
+		ev.Thread = s.evThread
+		ev.Core = -1
+		ev.Cycle = s.evCycle
+		ev.Addr, ev.Block = block, block
+		ev.Region = region
+		ev.Arg1, ev.Arg2 = uint64(writers), uint64(totalMask)
+		ev.DirBefore, ev.SharersBefore = cache.Ward, holders
+		s.ctr.DeltaInto(&ev.Ctrs, &before)
 		ev.DirAfter, ev.OwnerAfter, ev.SharersAfter = s.dirPeek(block)
 		s.emit(ev)
 	}

@@ -74,7 +74,7 @@ type System struct {
 	evSeq    uint64
 	evThread int    // hardware thread driving the current op (-1 when unknown)
 	evCycle  uint64 // issuing thread's local clock for the current op
-	ev       Event  // scratch for protocol-internal events, rebuilt whole per emit
+	ev       Event  // scratch for protocol-internal events, reset and refilled in place per emit
 }
 
 // NewSystem builds a memory system for the given machine and protocol over

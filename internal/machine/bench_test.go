@@ -3,6 +3,7 @@ package machine
 import (
 	"testing"
 
+	"warden/internal/attrib"
 	"warden/internal/core"
 	"warden/internal/topology"
 )
@@ -53,5 +54,42 @@ func BenchmarkComputePath(b *testing.B) {
 	b.ResetTimer()
 	if _, err := m.Run(bodies); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// BenchmarkObservedOp measures BenchmarkL1HitPath's load with no sink,
+// with a sink that discards every event (the cost of building the
+// instruction event alone), and with an attribution ledger (building plus
+// folding).
+func BenchmarkObservedOp(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		sink func() core.Sink
+	}{
+		{"bare", func() core.Sink { return nil }},
+		{"nop", func() core.Sink { return nopSink{} }},
+		{"ledger", func() core.Sink { return attrib.New(attrib.Config{}) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			m := New(benchConfig(), core.WARDen)
+			m.System().SetSink(c.sink())
+			addr := m.Mem().Alloc(64, 64)
+			bodies := make([]func(*Ctx), m.Config().Threads())
+			bodies[0] = func(ctx *Ctx) {
+				ctx.Store(addr, 8, 1)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					ctx.Load(addr, 8)
+				}
+				b.StopTimer()
+			}
+			for i := 1; i < len(bodies); i++ {
+				bodies[i] = func(*Ctx) {}
+			}
+			if _, err := m.Run(bodies); err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }

@@ -12,6 +12,7 @@
 package machine
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync/atomic"
 
@@ -45,10 +46,17 @@ type Machine struct {
 	// instead of the thread-local fenceOp.
 	syncFences bool
 
-	// ev is execObserved's scratch event, rebuilt whole for every
-	// instruction (sinks must not retain it), so observation allocates
-	// nothing per op.
-	ev core.Event
+	// ev is the scratch event of execObserved and the EvDrain emit, reset
+	// and refilled in place for every instruction (sinks must not retain
+	// it), so observation allocates and copies nothing per op. before is
+	// the counter snapshot taken ahead of the instruction; the delta is
+	// written from it straight into ev.Ctrs.
+	ev     core.Event
+	before stats.Snapshot
+
+	// marks holds each thread's scratch phase-marker event (Ctx.marker).
+	// Run allocates it only when a sink is attached.
+	marks []core.Event
 
 	// PDES state (see pdes.go). locals is non-nil iff emode is EnginePDES;
 	// observing caches Sink() != nil for the concurrent local handler,
@@ -120,6 +128,9 @@ func (m *Machine) Run(bodies []func(*Ctx)) (uint64, error) {
 		})
 	}
 	m.observing = m.sys.Sink() != nil
+	if m.observing {
+		m.marks = make([]core.Event, len(bodies))
+	}
 	cycles, err := m.eng.Run()
 	m.cycles = cycles
 	// Fold PDES per-thread counters into the shared set before anything
@@ -134,9 +145,13 @@ func (m *Machine) Run(bodies []func(*Ctx)) (uint64, error) {
 		// reconciliations, writebacks, and traffic to one EvDrain event.
 		m.sys.SetEventThread(-1)
 		m.sys.SetEventCycle(cycles)
-		before := m.ctr.Snap()
+		m.ctr.SnapInto(&m.before)
 		m.sys.DrainAll()
-		m.sys.Emit(&core.Event{Kind: core.EvDrain, Thread: -1, Core: -1, Cycle: cycles, Ctrs: m.ctr.Snap().Sub(before)})
+		ev := &m.ev
+		*ev = core.Event{}
+		ev.Kind, ev.Thread, ev.Core, ev.Cycle = core.EvDrain, -1, -1, cycles
+		m.ctr.DeltaInto(&ev.Ctrs, &m.before)
+		m.sys.Emit(ev)
 	} else {
 		m.sys.DrainAll()
 	}
@@ -227,19 +242,21 @@ func (m *Machine) exec(t *engine.Thread, op engine.Op) uint64 {
 // attributes the op to its hardware thread, snapshots the counters around
 // it, and emits the matching event carrying operands and deltas.
 func (m *Machine) execObserved(t *engine.Thread, op engine.Op) uint64 {
-	m.sys.SetEventThread(t.ID())
-	m.sys.SetEventCycle(t.Now())
-	before := m.ctr.Snap()
+	id, now := t.ID(), t.Now()
+	m.sys.SetEventThread(id)
+	m.sys.SetEventCycle(now)
+	m.ctr.SnapInto(&m.before)
 	adv := m.execOp(t, op)
+	// Reset and fill the scratch event field by field: a composite
+	// literal would be built in a temporary and copied whole.
 	ev := &m.ev
-	*ev = core.Event{
-		Thread:  t.ID(),
-		Core:    m.coreOf[t.ID()],
-		Cycle:   t.Now(),
-		Latency: adv,
-		Advance: adv,
-		Ctrs:    m.ctr.Snap().Sub(before),
-	}
+	*ev = core.Event{}
+	ev.Thread = id
+	ev.Core = m.coreOf[id]
+	ev.Cycle = now
+	ev.Latency = adv
+	ev.Advance = adv
+	m.ctr.DeltaInto(&ev.Ctrs, &m.before)
 	switch o := op.(type) {
 	case *loadOp:
 		ev.Kind = core.EvLoad
@@ -505,13 +522,21 @@ func (c *Ctx) LoadOp(a mem.Addr, size int) engine.Op {
 }
 
 // Loaded returns the value of the last scalar load (Load or LoadOp) of
-// size bytes.
+// size bytes. It reads c.buf with one load as wide as the value: the
+// memory system has just filled c.buf with a store of that width, and a
+// wider load straddling it could not be forwarded from the store buffer.
 func (c *Ctx) Loaded(size int) uint64 {
-	var v uint64
-	for i := size - 1; i >= 0; i-- {
-		v = v<<8 | uint64(c.buf[i])
+	switch size {
+	case 8:
+		return binary.LittleEndian.Uint64(c.buf[:])
+	case 4:
+		return uint64(binary.LittleEndian.Uint32(c.buf[:]))
+	case 2:
+		return uint64(binary.LittleEndian.Uint16(c.buf[:]))
+	case 1:
+		return uint64(c.buf[0])
 	}
-	return v
+	return binary.LittleEndian.Uint64(c.buf[:]) & (^uint64(0) >> (64 - 8*uint(size)))
 }
 
 // Store performs a size-byte store of v at a.
@@ -648,10 +673,7 @@ func (c *Ctx) PhaseBegin(name string) {
 	if !c.m.observing {
 		return
 	}
-	c.m.emitMarker(c.t, &core.Event{
-		Kind: core.EvPhaseBegin, Thread: c.t.ID(), Core: c.core,
-		Cycle: c.t.Now(), Label: name,
-	})
+	c.marker(core.EvPhaseBegin, name)
 }
 
 // PhaseEnd emits the EvPhaseEnd marker closing the innermost open phase on
@@ -661,10 +683,18 @@ func (c *Ctx) PhaseEnd(name string) {
 	if !c.m.observing {
 		return
 	}
-	c.m.emitMarker(c.t, &core.Event{
-		Kind: core.EvPhaseEnd, Thread: c.t.ID(), Core: c.core,
-		Cycle: c.t.Now(), Label: name,
-	})
+	c.marker(core.EvPhaseEnd, name)
+}
+
+// marker emits a phase marker from the thread's own scratch event: body
+// code of different threads may run concurrently under PDES, so markers
+// cannot share one scratch event.
+func (c *Ctx) marker(kind core.EventKind, name string) {
+	ev := &c.m.marks[c.t.ID()]
+	*ev = core.Event{}
+	ev.Kind, ev.Thread, ev.Core = kind, c.t.ID(), c.core
+	ev.Cycle, ev.Label = c.t.Now(), name
+	c.m.emitMarker(c.t, ev)
 }
 
 // AddRegion executes WARDen's Add Region instruction for [lo, hi). Under

@@ -3,6 +3,7 @@ package machine
 import (
 	"testing"
 
+	"warden/internal/attrib"
 	"warden/internal/core"
 	"warden/internal/mem"
 	"warden/internal/topology"
@@ -269,15 +270,20 @@ type nopSink struct{}
 func (nopSink) Event(*core.Event) {}
 
 // TestObservedOpsAllocateNothing: an L1-hit load, store, FetchAdd or CAS
-// costs no heap allocation, with or without a sink attached. Observed, an
-// instruction's event is built in machine-owned scratch; an atomic's new
-// value is computed from the op's kind and operands, not a closure.
+// costs no heap allocation, with no sink, with a sink that discards its
+// events, or with an attribution ledger whose accounts already exist.
+// Observed, an instruction's event is built in machine-owned scratch; an
+// atomic's new value is computed from the op's kind and operands, not a
+// closure. (AllocsPerRun's warm-up call creates the ledger's accounts.)
 func TestObservedOpsAllocateNothing(t *testing.T) {
-	for _, observed := range []bool{false, true} {
+	sinks := map[string]func() core.Sink{
+		"unobserved": func() core.Sink { return nil },
+		"nop":        func() core.Sink { return nopSink{} },
+		"ledger":     func() core.Sink { return attrib.New(attrib.Config{}) },
+	}
+	for name, sink := range sinks {
 		m := New(testCfg(), core.WARDen)
-		if observed {
-			m.System().SetSink(nopSink{})
-		}
+		m.System().SetSink(sink())
 		a := m.Mem().Alloc(64, 64)
 		allocs := map[string]float64{}
 		all := make([]func(*Ctx), m.Config().Threads())
@@ -296,11 +302,37 @@ func TestObservedOpsAllocateNothing(t *testing.T) {
 		}
 		for op, n := range allocs {
 			if n != 0 {
-				t.Errorf("observed=%v: %s allocates %v allocs/op", observed, op, n)
+				t.Errorf("%s: %s allocates %v allocs/op", name, op, n)
 			}
 		}
 		if len(allocs) != 4 {
-			t.Fatalf("observed=%v: measured %d ops, want 4", observed, len(allocs))
+			t.Fatalf("%s: measured %d ops, want 4", name, len(allocs))
+		}
+	}
+}
+
+// TestLoadedMatchesByteLoop: Loaded's little-endian word loads return
+// what assembling the value byte by byte does, for every size up to 8
+// (Load's sizes 1, 2, 4 and 8 and the masked fallback for the others),
+// with high bits set in and beyond the loaded bytes.
+func TestLoadedMatchesByteLoop(t *testing.T) {
+	patterns := [][8]byte{
+		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff},
+		{0x80, 0x81, 0x82, 0x83, 0x84, 0x85, 0x86, 0x87},
+		{0x01, 0x80, 0x00, 0xf0, 0x7f, 0xfe, 0x00, 0x80},
+		{0x00, 0x00, 0x00, 0x80, 0x00, 0x00, 0x00, 0x80},
+		{0xde, 0xad, 0xbe, 0xef, 0xca, 0xfe, 0xba, 0xbe},
+	}
+	for _, p := range patterns {
+		for size := 0; size <= 8; size++ {
+			c := &Ctx{buf: p}
+			var want uint64
+			for i := size - 1; i >= 0; i-- {
+				want = want<<8 | uint64(p[i])
+			}
+			if got := c.Loaded(size); got != want {
+				t.Errorf("Loaded(%d) over % x = %#x, want %#x", size, p, got, want)
+			}
 		}
 	}
 }

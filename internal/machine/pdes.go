@@ -123,30 +123,32 @@ func (*fenceOp) EngineLocal()   {}
 // m.ctr, m.sys, or any shared structure.
 func (m *Machine) execLocal(t *engine.Thread, op engine.Op) uint64 {
 	tl := &m.locals[t.ID()]
-	var adv uint64
-	var ev core.Event
+	var adv, arg uint64
+	var kind core.EventKind
 	switch o := op.(type) {
 	case *computeOp:
 		tl.ctr.instructions += o.cycles
 		adv = (o.cycles + superscalarWidth - 1) / superscalarWidth
 		tl.ctr.computeCycles += adv
-		ev.Kind = core.EvCompute
-		ev.Arg1 = o.cycles
+		kind, arg = core.EvCompute, o.cycles
 	case *fenceOp:
 		tl.ctr.instructions++
 		tl.ctr.fenceDrains++
 		adv = 1 + m.sbufs[t.ID()].drain(t.Now())
-		ev.Kind = core.EvFence
+		kind = core.EvFence
 	default:
 		panic(fmt.Sprintf("machine: op %T marked local but not handled", op))
 	}
 	if m.observing {
+		// Build the event in place, in its buffer slot.
+		tl.events = append(tl.events, localEvent{sortCycle: t.Now()})
+		ev := &tl.events[len(tl.events)-1].ev
+		ev.Kind, ev.Arg1 = kind, arg
 		ev.Thread = t.ID()
 		ev.Core = m.coreOf[t.ID()]
 		ev.Cycle = t.Now()
 		ev.Latency = adv
 		ev.Advance = adv
-		tl.events = append(tl.events, localEvent{sortCycle: t.Now(), ev: ev})
 		m.nbuffered.Add(1)
 	}
 	return adv

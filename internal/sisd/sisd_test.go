@@ -276,9 +276,10 @@ func TestCleanSharedEvictionIsSilent(t *testing.T) {
 	a := m.Alloc(4096, mem.PageSize)
 	rd(t, s, 0, a)
 	rd(t, s, 1, a) // shared classification
-	before := ctr.Snap()
+	var before, d stats.Snapshot
+	ctr.SnapInto(&before)
 	rd(t, s, 0, a+conflictStride) // conflicts: core 0 evicts its clean S copy
-	d := ctr.Snap().Sub(before)
+	ctr.DeltaInto(&d, &before)
 	if d.Msgs[stats.PutS] != 0 {
 		t.Fatalf("PutS on clean shared eviction = %d, want 0 (silent)", d.Msgs[stats.PutS])
 	}
@@ -299,9 +300,10 @@ func TestDirtySharedEvictionWritesBack(t *testing.T) {
 	rd(t, s, 0, a)
 	rd(t, s, 1, a)
 	wr(s, 0, a, 1234) // dirty shared copy at core 0
-	before := ctr.Snap()
+	var before, d stats.Snapshot
+	ctr.SnapInto(&before)
 	rd(t, s, 0, a+conflictStride) // evicts it
-	d := ctr.Snap().Sub(before)
+	ctr.DeltaInto(&d, &before)
 	if d.Msgs[stats.DataDir] != 1 {
 		t.Fatalf("DataDir on dirty shared eviction = %d, want 1", d.Msgs[stats.DataDir])
 	}
@@ -351,9 +353,10 @@ func TestDrainDischargesObligations(t *testing.T) {
 	rd(t, s, 1, a)
 	wr(s, 0, a, 11) // dirty shared copy
 	wr(s, 1, b, 22) // dirty private copy
-	before := ctr.Snap()
+	var before, d stats.Snapshot
+	ctr.SnapInto(&before)
 	s.DrainAll()
-	d := ctr.Snap().Sub(before)
+	ctr.DeltaInto(&d, &before)
 	if d.Msgs[stats.DataDir] != 2 {
 		t.Fatalf("DataDir during drain = %d, want 2", d.Msgs[stats.DataDir])
 	}
@@ -364,9 +367,9 @@ func TestDrainDischargesObligations(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Drain must be idempotent.
-	before = ctr.Snap()
+	ctr.SnapInto(&before)
 	s.DrainAll()
-	if d := ctr.Snap().Sub(before); d.Msgs[stats.DataDir] != 0 {
+	if ctr.DeltaInto(&d, &before); d.Msgs[stats.DataDir] != 0 {
 		t.Fatalf("second drain wrote back %d blocks, want 0", d.Msgs[stats.DataDir])
 	}
 }

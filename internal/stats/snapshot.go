@@ -25,53 +25,50 @@ type Snapshot struct {
 	ReconciledSectors uint64
 }
 
-// Snap captures the current values of the snapshot-tracked counters.
-func (c *Counters) Snap() Snapshot {
-	s := Snapshot{
-		L1Accesses:        c.L1Accesses,
-		L1Hits:            c.L1Hits,
-		L2Accesses:        c.L2Accesses,
-		L2Hits:            c.L2Hits,
-		L3Accesses:        c.L3Accesses,
-		L3Hits:            c.L3Hits,
-		DirAccesses:       c.DirAccesses,
-		DRAMAccesses:      c.DRAMAccesses,
-		Invalidations:     c.Invalidations,
-		Downgrades:        c.Downgrades,
-		NoCFlitHops:       c.NoCFlitHops,
-		IntersocketFlits:  c.IntersocketFlits,
-		WardAccesses:      c.WardAccesses,
-		ReconciledBlocks:  c.ReconciledBlocks,
-		ReconciledSectors: c.ReconciledSectors,
-	}
+// SnapInto writes the current values of the snapshot-tracked counters
+// into s. Together with DeltaInto it is the event layer's whole snapshot
+// API: both write through pointers, so an emitter keeps its "before"
+// point in a field or stack slot it owns and writes the delta straight
+// into the event, with no Snapshot value returned or copied.
+func (c *Counters) SnapInto(s *Snapshot) {
+	s.L1Accesses, s.L1Hits = c.L1Accesses, c.L1Hits
+	s.L2Accesses, s.L2Hits = c.L2Accesses, c.L2Hits
+	s.L3Accesses, s.L3Hits = c.L3Accesses, c.L3Hits
+	s.DirAccesses = c.DirAccesses
+	s.DRAMAccesses = c.DRAMAccesses
+	s.Invalidations = c.Invalidations
+	s.Downgrades = c.Downgrades
 	s.Msgs = c.Msgs
-	return s
+	s.NoCFlitHops = c.NoCFlitHops
+	s.IntersocketFlits = c.IntersocketFlits
+	s.WardAccesses = c.WardAccesses
+	s.ReconciledBlocks = c.ReconciledBlocks
+	s.ReconciledSectors = c.ReconciledSectors
 }
 
-// Sub returns the component-wise difference s - o. The counters only ever
-// increase, so with o taken before s every field is a true event count.
-func (s Snapshot) Sub(o Snapshot) Snapshot {
-	d := Snapshot{
-		L1Accesses:        s.L1Accesses - o.L1Accesses,
-		L1Hits:            s.L1Hits - o.L1Hits,
-		L2Accesses:        s.L2Accesses - o.L2Accesses,
-		L2Hits:            s.L2Hits - o.L2Hits,
-		L3Accesses:        s.L3Accesses - o.L3Accesses,
-		L3Hits:            s.L3Hits - o.L3Hits,
-		DirAccesses:       s.DirAccesses - o.DirAccesses,
-		DRAMAccesses:      s.DRAMAccesses - o.DRAMAccesses,
-		Invalidations:     s.Invalidations - o.Invalidations,
-		Downgrades:        s.Downgrades - o.Downgrades,
-		NoCFlitHops:       s.NoCFlitHops - o.NoCFlitHops,
-		IntersocketFlits:  s.IntersocketFlits - o.IntersocketFlits,
-		WardAccesses:      s.WardAccesses - o.WardAccesses,
-		ReconciledBlocks:  s.ReconciledBlocks - o.ReconciledBlocks,
-		ReconciledSectors: s.ReconciledSectors - o.ReconciledSectors,
-	}
+// DeltaInto writes the counters' growth since before into d: the current
+// values minus before, field by field. The counters only ever increase,
+// so with before taken by SnapInto every field is a true event count. d
+// may be before itself.
+func (c *Counters) DeltaInto(d, before *Snapshot) {
+	d.L1Accesses = c.L1Accesses - before.L1Accesses
+	d.L1Hits = c.L1Hits - before.L1Hits
+	d.L2Accesses = c.L2Accesses - before.L2Accesses
+	d.L2Hits = c.L2Hits - before.L2Hits
+	d.L3Accesses = c.L3Accesses - before.L3Accesses
+	d.L3Hits = c.L3Hits - before.L3Hits
+	d.DirAccesses = c.DirAccesses - before.DirAccesses
+	d.DRAMAccesses = c.DRAMAccesses - before.DRAMAccesses
+	d.Invalidations = c.Invalidations - before.Invalidations
+	d.Downgrades = c.Downgrades - before.Downgrades
 	for i := range d.Msgs {
-		d.Msgs[i] = s.Msgs[i] - o.Msgs[i]
+		d.Msgs[i] = c.Msgs[i] - before.Msgs[i]
 	}
-	return d
+	d.NoCFlitHops = c.NoCFlitHops - before.NoCFlitHops
+	d.IntersocketFlits = c.IntersocketFlits - before.IntersocketFlits
+	d.WardAccesses = c.WardAccesses - before.WardAccesses
+	d.ReconciledBlocks = c.ReconciledBlocks - before.ReconciledBlocks
+	d.ReconciledSectors = c.ReconciledSectors - before.ReconciledSectors
 }
 
 // TotalMsgs sums the snapshot's message counts across all types.

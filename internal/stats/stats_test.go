@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -76,5 +77,57 @@ func TestAddAccumulatesEverything(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSnapIntoAndDeltaInto: SnapInto copies every Snapshot field from the
+// Counters field of the same name, and DeltaInto writes the growth since
+// such a snapshot, also when the delta overwrites the snapshot in place.
+func TestSnapIntoAndDeltaInto(t *testing.T) {
+	var c Counters
+	cv := reflect.ValueOf(&c).Elem()
+	set := func(base uint64) {
+		for i := 0; i < cv.NumField(); i++ {
+			f := cv.Field(i)
+			if f.Kind() == reflect.Array {
+				for j := 0; j < f.Len(); j++ {
+					f.Index(j).SetUint(base + uint64(100*i+j))
+				}
+				continue
+			}
+			f.SetUint(base + uint64(100*i))
+		}
+	}
+	set(1000)
+	var before Snapshot
+	c.SnapInto(&before)
+	bv := reflect.ValueOf(before)
+	for i := 0; i < bv.NumField(); i++ {
+		name := bv.Type().Field(i).Name
+		if got, want := bv.Field(i).Interface(), cv.FieldByName(name).Interface(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("SnapInto: %s = %v, want %v", name, got, want)
+		}
+	}
+	set(5000)
+	var d Snapshot
+	c.DeltaInto(&d, &before)
+	dv := reflect.ValueOf(d)
+	for i := 0; i < dv.NumField(); i++ {
+		f := dv.Field(i)
+		if f.Kind() == reflect.Array {
+			for j := 0; j < f.Len(); j++ {
+				if f.Index(j).Uint() != 4000 {
+					t.Fatalf("DeltaInto: %s[%d] = %d, want 4000", dv.Type().Field(i).Name, j, f.Index(j).Uint())
+				}
+			}
+			continue
+		}
+		if f.Uint() != 4000 {
+			t.Fatalf("DeltaInto: %s = %d, want 4000", dv.Type().Field(i).Name, f.Uint())
+		}
+	}
+	c.DeltaInto(&before, &before)
+	if before != d {
+		t.Fatalf("in-place DeltaInto = %+v, want %+v", before, d)
 	}
 }
