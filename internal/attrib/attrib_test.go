@@ -546,15 +546,16 @@ func compareLedgers(t *testing.T, where string, l *Ledger, r *refLedger) {
 
 // BenchmarkLedgerEvent measures folding one instruction event into a
 // ledger whose accounts already exist: loads on a thread inside a phase,
-// switching between two pages every fourth event, so one event in four
-// takes a different account than the one before it.
+// switching between two pages every 64th event, so one event in 64 takes
+// a different account than its thread's last one of its kind (lens-2s
+// measures about one in 75).
 func BenchmarkLedgerEvent(b *testing.B) {
 	l := New(Config{})
 	l.Event(&core.Event{Kind: core.EvPhaseBegin, Thread: 3, Label: "build"})
 	ev := core.Event{Kind: core.EvLoad, Thread: 3, Core: 1, Advance: 2}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ev.Block = mem.Addr(i>>2&1) << 12
+		ev.Block = mem.Addr(i>>6&1) << 12
 		ev.Cycle = uint64(2 * i)
 		l.Event(&ev)
 	}

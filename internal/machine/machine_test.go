@@ -269,10 +269,11 @@ type nopSink struct{}
 
 func (nopSink) Event(*core.Event) {}
 
-// TestObservedOpsAllocateNothing: an L1-hit load, store, FetchAdd or CAS
-// costs no heap allocation, with no sink, with a sink that discards its
-// events, or with an attribution ledger whose accounts already exist.
-// Observed, an instruction's event is built in machine-owned scratch; an
+// TestObservedOpsAllocateNothing: an L1-hit load, store, FetchAdd or CAS,
+// and a phase marker pair, cost no heap allocation, with no sink, with a
+// sink that discards its events, or with an attribution ledger whose
+// accounts already exist. Observed, an instruction's event is built in
+// machine-owned scratch and a marker in its thread's scratch marker; an
 // atomic's new value is computed from the op's kind and operands, not a
 // closure. (AllocsPerRun's warm-up call creates the ledger's accounts.)
 func TestObservedOpsAllocateNothing(t *testing.T) {
@@ -296,6 +297,10 @@ func TestObservedOpsAllocateNothing(t *testing.T) {
 			allocs["store"] = testing.AllocsPerRun(100, func() { ctx.Store(a, 8, 2) })
 			allocs["fetchadd"] = testing.AllocsPerRun(100, func() { ctx.FetchAdd(a+8, 8, 3) })
 			allocs["cas"] = testing.AllocsPerRun(100, func() { ctx.CAS(a+16, 8, 0, 4) })
+			allocs["phase"] = testing.AllocsPerRun(100, func() {
+				ctx.PhaseBegin("p")
+				ctx.PhaseEnd("p")
+			})
 		}
 		if _, err := m.Run(all); err != nil {
 			t.Fatal(err)
@@ -305,8 +310,8 @@ func TestObservedOpsAllocateNothing(t *testing.T) {
 				t.Errorf("%s: %s allocates %v allocs/op", name, op, n)
 			}
 		}
-		if len(allocs) != 4 {
-			t.Fatalf("%s: measured %d ops, want 4", name, len(allocs))
+		if len(allocs) != 5 {
+			t.Fatalf("%s: measured %d ops, want 5", name, len(allocs))
 		}
 	}
 }
