@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
+	"sync"
 
 	"warden/internal/mem"
 )
@@ -95,40 +96,92 @@ type Eviction struct {
 	State State
 }
 
-// stateMask selects a packed tag's state bits. Tags pack a block-aligned
-// address with its state as block|state, so blocks must be at least
-// stateMask+1 bytes; a way is valid iff its state bits are nonzero, and
-// invalid ways hold 0.
+// stateMask selects a packed tag's state bits. A tag packs a block's
+// number (its address >> blockShift) with its state as number<<3|state,
+// so the block number compared against a set's tags is the one its set
+// index is taken from. Blocks must be at least stateMask+1 bytes, so the
+// shift loses no address bit. A way is valid iff its state bits are
+// nonzero, and invalid ways hold 0.
 const stateMask = 7
+
+// New splits a cache's sets into chunks of equal, power-of-two set count:
+// the fewest sets that make up minChunkBytes of tags and LRU stamps, or
+// more where that many chunks would overrun maxChunks, the length of
+// every cache's chunk table. The floor keeps small caches from paying a
+// chunk header and an allocation per set. The table's length bounds what
+// every cache, an L1 as much as an L3, carries in its struct (1.5 KB)
+// and how many chunk headers its lookups spread over.
+const (
+	maxChunks     = 64
+	minChunkBytes = 4 << 10
+)
+
+// zeroes is the storage every chunk aliases until the first Insert into
+// one of its sets. Its words are never written: they read as empty sets,
+// and Lookup, Peek, SetState and Invalidate write only a way that holds a
+// block, so they work on an unfilled chunk as they do on any other. Only
+// Insert writes into a set, and it first gives the set's chunk storage of
+// its own. The slice grows, under the lock, to the largest chunk any
+// cache has asked for; a cache keeps the slice it was given.
+var zeroes struct {
+	sync.Mutex
+	words []uint64
+}
+
+// zeroChunk returns n words of the shared zero storage.
+func zeroChunk(n int) []uint64 {
+	zeroes.Lock()
+	defer zeroes.Unlock()
+	if len(zeroes.words) < n {
+		zeroes.words = make([]uint64, n)
+	}
+	return zeroes.words[:n:n]
+}
 
 // Cache is a set-associative tag array. Create with New.
 //
-// The tags of set s are tags[s*assoc : (s+1)*assoc]; lru holds each way's
-// last-touch stamp in the same layout. Lookup scans a set's packed tags
-// alone, so a hit costs one compare per way.
+// Sets are grouped into numChunks chunks of equal, power-of-two set count.
+// A chunk holds the packed tags of its sets, set-major, then each way's
+// last-touch stamp in the same layout, chunkWays words after its tag.
+// Lookup scans a set's packed tags alone, so a hit costs one compare per
+// way. The chunk table is an array inside Cache, so reaching a set's tags
+// takes two dependent loads, the chunk's slice header and then the tags.
+// A chunk aliases the shared zero storage until the first Insert into one
+// of its sets, so an empty cache costs no tag storage at all.
 type Cache struct {
-	name       string
-	blockSize  uint64
-	blockShift uint   // log2(blockSize)
-	setMask    uint64 // numSets-1
+	// What Lookup reads, then what the protocol counts on every access,
+	// first: an access to a cache of one or two chunks (an L1) touches two
+	// host cache lines, as a flat tag array did. A block's set is the low
+	// bits of its block number: the lowest pick the set within its chunk
+	// (inChunk masks them), the bits above pick the chunk (chunkShift,
+	// chunkMask).
+	blockShift uint // log2(blockSize)
 	assoc      int
-	tags       []uint64 // block|state per way, 0 = invalid
-	lru        []uint64 // last-touch stamp per way
-	tick       uint64   // global LRU clock
+	chunkWays  int    // ways per chunk: a way's LRU stamp is this far after its tag
+	inChunk    uint64 // sets per chunk - 1
+	chunkShift uint   // log2(sets per chunk)
+	chunkMask  uint64 // numChunks-1
+	tick       uint64 // global LRU clock
 
 	// Counters maintained for the evaluation (Figs. 9 and 10 count
 	// invalidations and downgrades per cache).
-	Invalidations uint64
-	Downgrades    uint64
 	Hits          uint64
 	Misses        uint64
+	chunks        [maxChunks][]uint64
+	Invalidations uint64
+	Downgrades    uint64
 	Evictions     uint64
+
+	name      string
+	numChunks int
+	filled    uint64 // bit k set: chunk k has storage of its own (maxChunks <= 64)
 }
 
 // New returns a cache with the given total size, associativity and block
 // size. size must be divisible by assoc*blockSize, and blockSize must be a
 // power of two of at least 8 bytes. A set count that is not a power of two
-// is rounded down to the next lower power of two.
+// is rounded down to the next lower power of two. No tag storage is
+// allocated until lines are inserted.
 func New(name string, size uint64, assoc int, blockSize uint64) *Cache {
 	if assoc <= 0 || blockSize <= stateMask || blockSize&(blockSize-1) != 0 {
 		panic(fmt.Sprintf("cache %s: bad geometry assoc=%d block=%d", name, assoc, blockSize))
@@ -142,54 +195,87 @@ func New(name string, size uint64, assoc int, blockSize uint64) *Cache {
 		// slices) still work, just with a power-of-two index.
 		numSets = uint64(1) << (bits.Len64(numSets) - 1)
 	}
-	ways := numSets * uint64(assoc)
-	return &Cache{
-		name:       name,
-		blockSize:  blockSize,
-		blockShift: uint(bits.TrailingZeros64(blockSize)),
-		setMask:    numSets - 1,
-		assoc:      assoc,
-		tags:       make([]uint64, ways),
-		lru:        make([]uint64, ways),
+	chunkSets := uint64(1)
+	for chunkSets < numSets && chunkSets*uint64(assoc)*16 < minChunkBytes {
+		chunkSets *= 2
 	}
+	chunkSets = max(chunkSets, numSets/maxChunks)
+	numChunks := numSets / chunkSets
+	c := &Cache{
+		name:       name,
+		assoc:      assoc,
+		chunkWays:  int(chunkSets) * assoc,
+		numChunks:  int(numChunks),
+		blockShift: uint(bits.TrailingZeros64(blockSize)),
+		inChunk:    chunkSets - 1,
+		chunkShift: uint(bits.TrailingZeros64(chunkSets)),
+		chunkMask:  numChunks - 1,
+	}
+	c.empty()
+	return c
 }
+
+// empty points every chunk back at the shared zero storage.
+func (c *Cache) empty() {
+	z := zeroChunk(2 * c.chunkWays)
+	for k := range c.chunks[:c.numChunks] {
+		c.chunks[k] = z
+	}
+	c.filled = 0
+}
+
+// isFilled reports whether chunk k has storage of its own.
+func (c *Cache) isFilled(k int) bool { return c.filled&(1<<k) != 0 }
 
 // Name returns the cache's diagnostic name (e.g. "L1-3").
 func (c *Cache) Name() string { return c.name }
 
 // BlockSize returns the cache's block size in bytes.
-func (c *Cache) BlockSize() uint64 { return c.blockSize }
+func (c *Cache) BlockSize() uint64 { return 1 << c.blockShift }
 
-// locate returns addr's block-aligned address and the index of the first
-// way of its set.
-func (c *Cache) locate(addr mem.Addr) (block uint64, base int) {
-	block = uint64(addr) &^ (c.blockSize - 1)
-	return block, int((block>>c.blockShift)&c.setMask) * c.assoc
+// locate returns the tag key of addr's block (its number <<3, to be
+// or-ed with a state), the chunk holding its set and the offset of the
+// set's first way within that chunk. (The masks on shift counts spare the
+// compiler its code for shifts of 64 or more.)
+func (c *Cache) locate(addr mem.Addr) (key uint64, k, base int) {
+	n := uint64(addr) >> (c.blockShift & 63)
+	return n << 3, int(n >> (c.chunkShift & 63) & c.chunkMask), int(n&c.inChunk) * c.assoc
 }
 
-// holds reports whether tag t holds block: t^block is then a nonzero state
-// (1..stateMask), while any other block differs above the state bits and
-// an invalid way is 0.
-func holds(t, block uint64) bool { return (t^block)-1 < stateMask }
+// set returns the tag key of addr's block and the rest of its chunk from
+// the set's first way on: set[:assoc] are the set's tags, and a way's LRU
+// stamp is chunkWays words after its tag.
+func (c *Cache) set(addr mem.Addr) (key uint64, set []uint64) {
+	n := uint64(addr) >> (c.blockShift & 63)
+	return n << 3, c.chunks[n>>(c.chunkShift&63)&c.chunkMask][int(n&c.inChunk)*c.assoc:]
+}
 
-// find returns the way holding block in the set starting at base, or -1.
-func (c *Cache) find(block uint64, base int) int {
-	for i, t := range c.tags[base : base+c.assoc] {
-		if holds(t, block) {
-			return base + i
+// holds reports whether tag t holds the block with the given key: t^key
+// is then a nonzero state (1..stateMask), while any other block differs
+// above the state bits and an invalid way is 0.
+func holds(t, key uint64) bool { return (t^key)-1 < stateMask }
+
+// find returns the way of set holding the block with the given key, or -1.
+func (c *Cache) find(key uint64, set []uint64) int {
+	for i, t := range set[:c.assoc] {
+		if holds(t, key) {
+			return i
 		}
 	}
 	return -1
 }
 
 // Lookup returns the state of addr's block, or Invalid if it is not
-// present. The LRU clock is touched on hit.
+// present. The LRU clock is touched on hit. It spells out set and holds,
+// which keeps it within the compiler's inlining budget: every simulated
+// access starts here.
 func (c *Cache) Lookup(addr mem.Addr) State {
-	block, base := c.locate(addr)
-	for i, t := range c.tags[base : base+c.assoc] {
-		if holds(t, block) {
+	n := uint64(addr) >> (c.blockShift & 63)
+	set := c.chunks[n>>(c.chunkShift&63)&c.chunkMask][int(n&c.inChunk)*c.assoc:]
+	for i, t := range set[:c.assoc] {
+		if (t^n<<3)-1 < stateMask {
 			c.tick++
-			c.lru[base+i] = c.tick
+			set[c.chunkWays+i] = c.tick
 			return State(t & stateMask)
 		}
 	}
@@ -199,9 +285,9 @@ func (c *Cache) Lookup(addr mem.Addr) State {
 // Peek is Lookup without touching LRU state or counters; for assertions and
 // protocol bookkeeping.
 func (c *Cache) Peek(addr mem.Addr) State {
-	block, base := c.locate(addr)
-	for _, t := range c.tags[base : base+c.assoc] {
-		if holds(t, block) {
+	key, set := c.set(addr)
+	for _, t := range set[:c.assoc] {
+		if holds(t, key) {
 			return State(t & stateMask)
 		}
 	}
@@ -212,38 +298,44 @@ func (c *Cache) Peek(addr mem.Addr) State {
 // LRU state, and reports whether it was present. Setting Invalid removes
 // the block, as Invalidate does.
 func (c *Cache) SetState(addr mem.Addr, st State) bool {
-	block, base := c.locate(addr)
-	w := c.find(block, base)
+	key, set := c.set(addr)
+	w := c.find(key, set)
 	if w < 0 {
 		return false
 	}
-	c.tags[w] = pack(block, st)
+	set[w] = pack(key, st)
 	return true
 }
 
-// pack builds the tag of block in state st (0 when st is Invalid).
-func pack(block uint64, st State) uint64 {
+// pack builds the tag of the block with the given key in state st (0 when
+// st is Invalid).
+func pack(key uint64, st State) uint64 {
 	if st == Invalid {
 		return 0
 	}
-	return block | uint64(st)
+	return key | uint64(st)
 }
 
 // Insert places addr's block in the cache with the given state, evicting the
 // LRU valid line of the set if it is full. It returns the eviction (if any)
 // so the protocol can write back or reconcile the victim. Inserting a block
 // that is already present just updates its state (and touches its LRU
-// stamp, as Lookup does).
+// stamp, as Lookup does). The first insert into a chunk allocates it.
 func (c *Cache) Insert(addr mem.Addr, st State) (Eviction, bool) {
-	block, base := c.locate(addr)
+	key, k, base := c.locate(addr)
+	if !c.isFilled(k) {
+		c.chunks[k] = make([]uint64, len(c.chunks[k]))
+		c.filled |= 1 << k
+	}
+	set := c.chunks[k][base:]
+	tags, lru := set[:c.assoc], set[c.chunkWays:c.chunkWays+c.assoc]
 	c.tick++
 	// One pass finds the block or, failing that, the first invalid way.
-	set := c.tags[base : base+c.assoc]
 	victim := -1
-	for i, t := range set {
-		if holds(t, block) {
-			set[i] = pack(block, st)
-			c.lru[base+i] = c.tick
+	for i, t := range tags {
+		if holds(t, key) {
+			tags[i] = pack(key, st)
+			lru[i] = c.tick
 			return Eviction{}, false
 		}
 		if t == 0 && victim < 0 {
@@ -254,19 +346,18 @@ func (c *Cache) Insert(addr mem.Addr, st State) (Eviction, bool) {
 	var ev Eviction
 	evicted := false
 	if victim < 0 {
-		lru := c.lru[base : base+c.assoc]
 		victim = 0
 		for i := 1; i < len(lru); i++ {
 			if lru[i] < lru[victim] {
 				victim = i
 			}
 		}
-		ev = Eviction(line(set[victim]))
+		ev = Eviction(c.line(tags[victim]))
 		evicted = true
 		c.Evictions++
 	}
-	set[victim] = pack(block, st)
-	c.lru[base+victim] = c.tick
+	tags[victim] = pack(key, st)
+	lru[victim] = c.tick
 	return ev, evicted
 }
 
@@ -274,12 +365,13 @@ func (c *Cache) Insert(addr mem.Addr, st State) (Eviction, bool) {
 // decides whether this counts as a coherence invalidation (counted via
 // CountInvalidation) or a silent drop.
 func (c *Cache) Invalidate(addr mem.Addr) State {
-	w := c.find(c.locate(addr))
+	key, set := c.set(addr)
+	w := c.find(key, set)
 	if w < 0 {
 		return Invalid
 	}
-	st := State(c.tags[w] & stateMask)
-	c.tags[w], c.lru[w] = 0, 0
+	st := State(set[w] & stateMask)
+	set[w], set[c.chunkWays+w] = 0, 0
 	return st
 }
 
@@ -291,16 +383,22 @@ func (c *Cache) CountInvalidation() { c.Invalidations++ }
 func (c *Cache) CountDowngrade() { c.Downgrades++ }
 
 // line unpacks a valid tag.
-func line(t uint64) Line {
-	return Line{Addr: mem.Addr(t &^ stateMask), State: State(t & stateMask)}
+func (c *Cache) line(t uint64) Line {
+	return Line{Addr: mem.Addr(t >> 3 << c.blockShift), State: State(t & stateMask)}
 }
 
 // ForEach calls fn for every valid line. Iteration order is deterministic
 // (set-major, then way order). fn must not insert or invalidate lines.
+// Chunks that were never filled hold no lines and are skipped.
 func (c *Cache) ForEach(fn func(Line)) {
-	for _, t := range c.tags {
-		if t != 0 {
-			fn(line(t))
+	for k, ch := range c.chunks[:c.numChunks] {
+		if !c.isFilled(k) {
+			continue
+		}
+		for _, t := range ch[:c.chunkWays] {
+			if t != 0 {
+				fn(c.line(t))
+			}
 		}
 	}
 }
@@ -313,17 +411,23 @@ func (c *Cache) ForEach(fn func(Line)) {
 func (c *Cache) Recency() []Line {
 	out := make([]Line, 0, c.assoc)
 	ways := make([]int, 0, c.assoc)
-	for base := 0; base < len(c.tags); base += c.assoc {
-		ways = ways[:0]
-		for w := base; w < base+c.assoc; w++ {
-			if c.tags[w] != 0 {
-				ways = append(ways, w)
-			}
+	for k, ch := range c.chunks[:c.numChunks] {
+		if !c.isFilled(k) {
+			continue
 		}
-		// Stamps of valid ways are distinct, so the order is total.
-		sort.Slice(ways, func(i, j int) bool { return c.lru[ways[i]] > c.lru[ways[j]] })
-		for _, w := range ways {
-			out = append(out, line(c.tags[w]))
+		for base := 0; base < c.chunkWays; base += c.assoc {
+			tags, lru := ch[base:base+c.assoc], ch[c.chunkWays+base:c.chunkWays+base+c.assoc]
+			ways = ways[:0]
+			for w, t := range tags {
+				if t != 0 {
+					ways = append(ways, w)
+				}
+			}
+			// Stamps of valid ways are distinct, so the order is total.
+			sort.Slice(ways, func(i, j int) bool { return lru[ways[i]] > lru[ways[j]] })
+			for _, w := range ways {
+				out = append(out, c.line(tags[w]))
+			}
 		}
 	}
 	return out
@@ -332,18 +436,14 @@ func (c *Cache) Recency() []Line {
 // ValidLines reports the number of valid lines, for occupancy assertions.
 func (c *Cache) ValidLines() int {
 	n := 0
-	for _, t := range c.tags {
-		if t != 0 {
-			n++
-		}
-	}
+	c.ForEach(func(Line) { n++ })
 	return n
 }
 
-// Reset invalidates every line and clears counters.
+// Reset invalidates every line, returns every chunk to the shared zero
+// storage and clears counters.
 func (c *Cache) Reset() {
-	clear(c.tags)
-	clear(c.lru)
+	c.empty()
 	c.tick = 0
 	c.Invalidations, c.Downgrades, c.Hits, c.Misses, c.Evictions = 0, 0, 0, 0, 0
 }

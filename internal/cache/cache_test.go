@@ -233,6 +233,9 @@ type refLine struct {
 
 func newRef(size uint64, assoc int, blockSize uint64) *refCache {
 	numSets := size / (uint64(assoc) * blockSize)
+	for numSets&(numSets-1) != 0 {
+		numSets &= numSets - 1 // New's round-down to a power of two
+	}
 	return &refCache{blockSize: blockSize, numSets: numSets, assoc: assoc, sets: make([]refLine, numSets*uint64(assoc))}
 }
 
@@ -345,30 +348,60 @@ func stateOf(ln *refLine) State {
 // with the same seeded random operation sequences and requires identical
 // observable behaviour after every step: return values, evictions,
 // counters, occupancy, ForEach's set-major way order (which exposes the
-// way an insert fills) and Recency (which exposes LRU order).
+// way an insert fills) and Recency (which exposes LRU order). Each stream
+// resets both caches halfway through. Geometries of 64 sets or more walk
+// the whole cache every 8th step rather than every step, to keep the test
+// fast.
+//
+// The small geometries are one chunk. The larger ones span 16 chunks, one
+// of them 20-way with a set count New rounds down, as the L3's is. Their
+// strided pools draw blocks from a few sets spread over the index space,
+// including the first and last set, so most chunks are never filled and
+// the walks must skip them, while those few sets fill and evict.
 func TestMatchesReferenceModel(t *testing.T) {
 	for _, g := range []struct {
-		size  uint64
-		assoc int
+		label   string
+		size    uint64
+		assoc   int
+		strided bool
 	}{
-		{512, 1},  // direct-mapped, 8 sets
-		{1024, 2}, // 8 sets
-		{2048, 8}, // 4 sets
+		{"1way", 512, 1, false},                            // direct-mapped, 8 sets
+		{"2way", 1024, 2, false},                           // 8 sets
+		{"8way", 2048, 8, false},                           // 4 sets
+		{"64sets-2way", 64 * 2 * 64, 2, false},             // one chunk
+		{"1024sets-4way", 1024 * 4 * 64, 4, false},         // 16 chunks of 64 sets
+		{"1024sets-4way-strided", 1024 * 4 * 64, 4, true},  // the same, mostly unfilled
+		{"256sets-20way-strided", 384 * 20 * 64, 20, true}, // 384 sets rounded down; 16 chunks of 16
 	} {
 		for seed := int64(1); seed <= 4; seed++ {
-			name := fmt.Sprintf("%dway/seed%d", g.assoc, seed)
+			name := fmt.Sprintf("%s/seed%d", g.label, seed)
 			t.Run(name, func(t *testing.T) {
 				c := New(name, g.size, g.assoc, 64)
 				ref := newRef(g.size, g.assoc, 64)
-				// A pool a few times the capacity, so sets fill, evict and
-				// re-hit; offsets within a block exercise alignment.
-				capacity := int(g.size / 64)
+				if g.strided && c.numChunks < 8 {
+					t.Fatalf("%d chunks: too few to leave most unfilled", c.numChunks)
+				}
 				rng := rand.New(rand.NewSource(seed))
+				// A dense pool is a few times the capacity, so sets fill,
+				// evict and re-hit. A strided pool takes 2*assoc+1 blocks
+				// in each of a few sets, so those sets evict. Offsets
+				// within a block exercise alignment.
+				capacity := int(g.size / 64)
+				sets := int(ref.numSets)
+				hot := []int{0, sets / 3, sets/2 + 5, sets - 1}
 				addr := func() mem.Addr {
-					return mem.Addr(rng.Intn(3*capacity))*64 + mem.Addr(rng.Intn(64))
+					b := rng.Intn(3 * capacity)
+					if g.strided {
+						b = hot[rng.Intn(len(hot))] + sets*rng.Intn(2*g.assoc+1)
+					}
+					return mem.Addr(b)*64 + mem.Addr(rng.Intn(64))
 				}
 				state := func() State { return State(1 + rng.Intn(int(Ward))) }
 				for step := 0; step < 4000; step++ {
+					if step == 2000 {
+						c.Reset()
+						ref = newRef(g.size, g.assoc, 64)
+					}
 					a := addr()
 					var op string
 					switch r := rng.Intn(10); {
@@ -402,6 +435,9 @@ func TestMatchesReferenceModel(t *testing.T) {
 							t.Fatalf("step %d: SetState(%#x, %v) = %v, want %v", step, uint64(a), st, got, want)
 						}
 					}
+					if sets >= 64 && step%8 != 7 {
+						continue
+					}
 					if c.Evictions != ref.Evictions || c.Hits != ref.Hits || c.Misses != ref.Misses ||
 						c.Invalidations != ref.Invalidations || c.Downgrades != ref.Downgrades {
 						t.Fatalf("step %d (%s): counters diverge", step, op)
@@ -418,7 +454,82 @@ func TestMatchesReferenceModel(t *testing.T) {
 						t.Fatalf("step %d (%s): Recency = %v, want %v", step, op, got, want)
 					}
 				}
+				if g.strided && filledChunks(c) == c.numChunks {
+					t.Fatalf("strided pool filled all %d chunks", c.numChunks)
+				}
 			})
 		}
+	}
+	if w, ok := zeroesIntact(); !ok {
+		t.Fatalf("shared zero storage written: word %d is %#x", w, zeroes.words[w])
+	}
+}
+
+// filledChunks counts c's chunks that have storage of their own.
+func filledChunks(c *Cache) int {
+	n := 0
+	for k := range c.numChunks {
+		if c.isFilled(k) {
+			n++
+		}
+	}
+	return n
+}
+
+// zeroesIntact reports whether the shared zero storage is still all
+// zeroes, and otherwise the first word that is not.
+func zeroesIntact() (int, bool) {
+	zeroes.Lock()
+	defer zeroes.Unlock()
+	for i, w := range zeroes.words {
+		if w != 0 {
+			return i, false
+		}
+	}
+	return 0, true
+}
+
+// TestUnfilledSetsCostNothing: a cache of the L3's geometry allocates no
+// chunk at New, and Lookup, Peek, Invalidate and SetState on a set that
+// was never filled allocate nothing, find nothing, fill no chunk and leave
+// the shared zero storage untouched, also beside a filled chunk.
+func TestUnfilledSetsCostNothing(t *testing.T) {
+	c := New("L3", 30<<20, 20, 64) // 24576 sets rounded down to 16384
+	if n := filledChunks(c); n != 0 {
+		t.Fatalf("New filled %d chunks", n)
+	}
+	c.Insert(0, Modified)
+	a := mem.Addr(8192 * 64) // set 8192: chunk numChunks/2, never filled
+	for op, fn := range map[string]func(){
+		"Lookup": func() {
+			if c.Lookup(a) != Invalid {
+				t.Error("Lookup found a block in an unfilled set")
+			}
+		},
+		"Peek": func() {
+			if c.Peek(a) != Invalid {
+				t.Error("Peek found a block in an unfilled set")
+			}
+		},
+		"Invalidate": func() {
+			if c.Invalidate(a) != Invalid {
+				t.Error("Invalidate found a block in an unfilled set")
+			}
+		},
+		"SetState": func() {
+			if c.SetState(a, Modified) {
+				t.Error("SetState found a block in an unfilled set")
+			}
+		},
+	} {
+		if n := testing.AllocsPerRun(100, fn); n != 0 {
+			t.Errorf("%s on an unfilled set: %v allocs/op", op, n)
+		}
+	}
+	if n := filledChunks(c); n != 1 {
+		t.Errorf("%d chunks filled, want 1", n)
+	}
+	if w, ok := zeroesIntact(); !ok {
+		t.Fatalf("shared zero storage written: word %d is %#x", w, zeroes.words[w])
 	}
 }

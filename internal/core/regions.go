@@ -13,6 +13,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"warden/internal/mem"
@@ -47,6 +48,11 @@ type regionTable struct {
 	// HLPL runtime are disjoint, but overlap is tolerated (first match
 	// wins, which still answers "is this address in any region").
 	sorted []*region
+	// free holds removed regions for add to reuse, blocks map and all, and
+	// scratch backs remove's result, so a region's add/remove pair
+	// allocates nothing once the table has warmed up.
+	free    []*region
+	scratch []mem.Addr
 }
 
 func newRegionTable(capacity int) *regionTable {
@@ -63,7 +69,13 @@ func (t *regionTable) add(lo, hi mem.Addr) (RegionID, bool) {
 	if lo >= hi || len(t.byID) >= t.capacity {
 		return NullRegion, false
 	}
-	r := &region{id: t.nextID, lo: lo, hi: hi, blocks: make(map[mem.Addr]struct{})}
+	var r *region
+	if n := len(t.free); n > 0 {
+		r, t.free = t.free[n-1], t.free[:n-1]
+	} else {
+		r = &region{blocks: make(map[mem.Addr]struct{})}
+	}
+	r.id, r.lo, r.hi = t.nextID, lo, hi
 	t.nextID++
 	t.byID[r.id] = r
 	i := sort.Search(len(t.sorted), func(i int) bool { return t.sorted[i].lo > lo })
@@ -95,7 +107,8 @@ func (t *regionTable) lookup(a mem.Addr) (RegionID, bool) {
 }
 
 // remove deletes region id and returns its W-state blocks in ascending
-// address order (the deterministic reconciliation order).
+// address order (the deterministic reconciliation order). The slice is
+// valid until the next remove.
 func (t *regionTable) remove(id RegionID) (blocks []mem.Addr, ok bool) {
 	r, found := t.byID[id]
 	if !found {
@@ -108,11 +121,14 @@ func (t *regionTable) remove(id RegionID) (blocks []mem.Addr, ok bool) {
 			break
 		}
 	}
-	blocks = make([]mem.Addr, 0, len(r.blocks))
+	blocks = t.scratch[:0]
 	for b := range r.blocks {
 		blocks = append(blocks, b)
 	}
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
+	slices.Sort(blocks)
+	t.scratch = blocks
+	clear(r.blocks)
+	t.free = append(t.free, r)
 	return blocks, true
 }
 

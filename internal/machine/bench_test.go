@@ -93,3 +93,19 @@ func BenchmarkObservedOp(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkMachineNew measures building the paper's Table 2 machine with 1
+// and 2 sockets: the memory system with every cache level, the directory
+// and the threads' contexts. Its bytes per op are what one run pays
+// before its first instruction.
+func BenchmarkMachineNew(b *testing.B) {
+	for _, sockets := range []int{1, 2} {
+		cfg := topology.XeonGold6126(sockets)
+		b.Run(cfg.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				New(cfg, core.WARDen)
+			}
+		})
+	}
+}

@@ -492,6 +492,8 @@ type Ctx struct {
 	sfnc syncFenceOp
 	rmw  rmwOp
 	host hostOp
+	radd addRegionOp
+	rrem removeRegionOp
 	buf  [8]byte // backing store for scalar Load/Store data
 }
 
@@ -700,13 +702,14 @@ func (c *Ctx) marker(kind core.EventKind, name string) {
 // AddRegion executes WARDen's Add Region instruction for [lo, hi). Under
 // MESI or when the region table is full it returns (core.NullRegion, false).
 func (c *Ctx) AddRegion(lo, hi mem.Addr) (core.RegionID, bool) {
-	op := addRegionOp{lo: lo, hi: hi}
-	c.t.Call(&op)
-	return op.id, op.ok
+	c.radd = addRegionOp{lo: lo, hi: hi}
+	c.t.Call(&c.radd)
+	return c.radd.id, c.radd.ok
 }
 
 // RemoveRegion executes WARDen's Remove Region instruction, reconciling the
 // region's W blocks. Removing core.NullRegion is a cheap no-op.
 func (c *Ctx) RemoveRegion(id core.RegionID) {
-	c.t.Call(&removeRegionOp{id: id})
+	c.rrem.id = id
+	c.t.Call(&c.rrem)
 }

@@ -270,7 +270,8 @@ type nopSink struct{}
 func (nopSink) Event(*core.Event) {}
 
 // TestObservedOpsAllocateNothing: an L1-hit load, store, FetchAdd or CAS,
-// and a phase marker pair, cost no heap allocation, with no sink, with a
+// a phase marker pair, and an AddRegion/RemoveRegion pair cost no heap
+// allocation, with no sink, with a
 // sink that discards its events, or with an attribution ledger whose
 // accounts already exist. Observed, an instruction's event is built in
 // machine-owned scratch and a marker in its thread's scratch marker; an
@@ -286,6 +287,7 @@ func TestObservedOpsAllocateNothing(t *testing.T) {
 		m := New(testCfg(), core.WARDen)
 		m.System().SetSink(sink())
 		a := m.Mem().Alloc(64, 64)
+		r := m.Mem().Alloc(256, 64)
 		allocs := map[string]float64{}
 		all := make([]func(*Ctx), m.Config().Threads())
 		for i := range all {
@@ -301,6 +303,13 @@ func TestObservedOpsAllocateNothing(t *testing.T) {
 				ctx.PhaseBegin("p")
 				ctx.PhaseEnd("p")
 			})
+			allocs["region"] = testing.AllocsPerRun(100, func() {
+				id, ok := ctx.AddRegion(r, r+256)
+				if !ok {
+					t.Errorf("%s: AddRegion failed", name)
+				}
+				ctx.RemoveRegion(id)
+			})
 		}
 		if _, err := m.Run(all); err != nil {
 			t.Fatal(err)
@@ -310,8 +319,8 @@ func TestObservedOpsAllocateNothing(t *testing.T) {
 				t.Errorf("%s: %s allocates %v allocs/op", name, op, n)
 			}
 		}
-		if len(allocs) != 5 {
-			t.Fatalf("%s: measured %d ops, want 5", name, len(allocs))
+		if len(allocs) != 6 {
+			t.Fatalf("%s: measured %d ops, want 6", name, len(allocs))
 		}
 	}
 }
