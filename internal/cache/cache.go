@@ -233,18 +233,11 @@ func (c *Cache) Name() string { return c.name }
 // BlockSize returns the cache's block size in bytes.
 func (c *Cache) BlockSize() uint64 { return 1 << c.blockShift }
 
-// locate returns the tag key of addr's block (its number <<3, to be
-// or-ed with a state), the chunk holding its set and the offset of the
-// set's first way within that chunk. (The masks on shift counts spare the
-// compiler its code for shifts of 64 or more.)
-func (c *Cache) locate(addr mem.Addr) (key uint64, k, base int) {
-	n := uint64(addr) >> (c.blockShift & 63)
-	return n << 3, int(n >> (c.chunkShift & 63) & c.chunkMask), int(n&c.inChunk) * c.assoc
-}
-
-// set returns the tag key of addr's block and the rest of its chunk from
-// the set's first way on: set[:assoc] are the set's tags, and a way's LRU
-// stamp is chunkWays words after its tag.
+// set returns the tag key of addr's block (its number <<3, to be or-ed
+// with a state) and the rest of its chunk from the set's first way on:
+// set[:assoc] are the set's tags, and a way's LRU stamp is chunkWays words
+// after its tag. (The masks on shift counts spare the compiler its code for
+// shifts of 64 or more.)
 func (c *Cache) set(addr mem.Addr) (key uint64, set []uint64) {
 	n := uint64(addr) >> (c.blockShift & 63)
 	return n << 3, c.chunks[n>>(c.chunkShift&63)&c.chunkMask][int(n&c.inChunk)*c.assoc:]
@@ -322,12 +315,11 @@ func pack(key uint64, st State) uint64 {
 // that is already present just updates its state (and touches its LRU
 // stamp, as Lookup does). The first insert into a chunk allocates it.
 func (c *Cache) Insert(addr mem.Addr, st State) (Eviction, bool) {
-	key, k, base := c.locate(addr)
-	if !c.isFilled(k) {
+	if k := int(uint64(addr) >> (c.blockShift & 63) >> (c.chunkShift & 63) & c.chunkMask); !c.isFilled(k) {
 		c.chunks[k] = make([]uint64, len(c.chunks[k]))
 		c.filled |= 1 << k
 	}
-	set := c.chunks[k][base:]
+	key, set := c.set(addr)
 	tags, lru := set[:c.assoc], set[c.chunkWays:c.chunkWays+c.assoc]
 	c.tick++
 	// One pass finds the block or, failing that, the first invalid way.

@@ -390,7 +390,7 @@ func (s *System) flushWardCopy(core int, block mem.Addr) {
 		s.ctr.ReconciledSectors += uint64(wc.mask.Count())
 		s.l3[s.fabric.HomeSocket(block)].Insert(block, cache.Shared)
 	}
-	s.dropWardCopy(core, block)
+	delete(s.wcopies[core], block)
 }
 
 func (s *System) applyMask(block mem.Addr, wc *wardCopy) {
@@ -465,7 +465,7 @@ func (s *System) reconcileBlock(block mem.Addr, e *coherence.Entry, forgetRegion
 			remaining = remaining.Add(c) // clean S holder under a W entry
 			return
 		}
-		s.dropWardCopy(c, block)
+		delete(s.wcopies[c], block)
 		if totalMask == 0 || (writers == 1 && c == lastWriter) {
 			s.setPrivState(c, block, cache.Shared)
 			remaining = remaining.Add(c)

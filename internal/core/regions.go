@@ -55,6 +55,11 @@ type regionTable struct {
 	scratch []mem.Addr
 }
 
+// maxRecycledBlocks bounds the W-block map a recycled region keeps: a
+// removed region that held more gets a fresh map, so the free list does
+// not hold on to the memory of the largest regions for the whole run.
+const maxRecycledBlocks = 64
+
 func newRegionTable(capacity int) *regionTable {
 	return &regionTable{
 		capacity: capacity,
@@ -127,7 +132,12 @@ func (t *regionTable) remove(id RegionID) (blocks []mem.Addr, ok bool) {
 	}
 	slices.Sort(blocks)
 	t.scratch = blocks
-	clear(r.blocks)
+	if len(r.blocks) > maxRecycledBlocks {
+		// Clearing a map keeps its peak-sized buckets; let a large one go.
+		r.blocks = make(map[mem.Addr]struct{})
+	} else {
+		clear(r.blocks)
+	}
 	t.free = append(t.free, r)
 	return blocks, true
 }

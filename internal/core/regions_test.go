@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -77,6 +78,39 @@ func TestRegionBlocksSortedOnRemove(t *testing.T) {
 	for i := range want {
 		if blocks[i] != want[i] {
 			t.Fatalf("blocks[%d] = %#x, want %#x (sorted)", i, uint64(blocks[i]), uint64(want[i]))
+		}
+	}
+}
+
+// TestRemovedRegionsAreRecycled: add reuses a removed region with no
+// blocks left in it. One that held at most maxRecycledBlocks keeps its
+// cleared map; one that held more gets a fresh map, so the free list does
+// not keep a large region's peak-sized map alive.
+func TestRemovedRegionsAreRecycled(t *testing.T) {
+	for _, n := range []int{maxRecycledBlocks, maxRecycledBlocks + 1} {
+		rt := newRegionTable(8)
+		id, _ := rt.add(0, 1<<20)
+		r := rt.byID[id]
+		m := reflect.ValueOf(r.blocks).UnsafePointer()
+		for i := range n {
+			rt.noteBlock(id, mem.Addr(i*64))
+		}
+		if blocks, _ := rt.remove(id); len(blocks) != n {
+			t.Fatalf("%d blocks: remove returned %d", n, len(blocks))
+		}
+		id2, _ := rt.add(0x1000, 0x2000)
+		if rt.byID[id2] != r {
+			t.Fatalf("%d blocks: add did not reuse the removed region", n)
+		}
+		if len(r.blocks) != 0 {
+			t.Fatalf("%d blocks: recycled region holds %d blocks", n, len(r.blocks))
+		}
+		if fresh := reflect.ValueOf(r.blocks).UnsafePointer() != m; fresh != (n > maxRecycledBlocks) {
+			t.Errorf("%d blocks: fresh map = %v, want %v", n, fresh, n > maxRecycledBlocks)
+		}
+		rt.noteBlock(id2, 0x1040)
+		if blocks, _ := rt.remove(id2); len(blocks) != 1 || blocks[0] != 0x1040 {
+			t.Fatalf("%d blocks: second remove returned %v", n, blocks)
 		}
 	}
 }

@@ -63,7 +63,6 @@ type System struct {
 
 	regions     *regionTable
 	wcopies     []map[mem.Addr]*wardCopy // indexed by core
-	wlast       []wcopyMemo              // indexed by core: wcopy's last result
 	sectorShift uint                     // log2 of bytes per sector bit (default 0: byte sectoring)
 
 	detectEntangle bool
@@ -104,7 +103,6 @@ func NewSystem(cfg topology.Config, proto Protocol, m *mem.Memory, ctr *stats.Co
 		s.l1 = append(s.l1, cache.New(fmt.Sprintf("L1-%d", c), cfg.L1Size, cfg.L1Assoc, cfg.BlockSize))
 		s.l2 = append(s.l2, cache.New(fmt.Sprintf("L2-%d", c), cfg.L2Size, cfg.L2Assoc, cfg.BlockSize))
 		s.wcopies = append(s.wcopies, make(map[mem.Addr]*wardCopy))
-		s.wlast = append(s.wlast, wcopyMemo{})
 	}
 	for k := 0; k < cfg.Sockets; k++ {
 		s.l3 = append(s.l3, cache.New(fmt.Sprintf("L3-%d", k), cfg.L3SizePerSocket(), cfg.L3Assoc, cfg.BlockSize))
@@ -230,35 +228,14 @@ func (s *System) checkSpan(a mem.Addr, n int) {
 	}
 }
 
-// wcopyMemo is the private W copy wcopy last returned to a core, so that
-// a run of accesses to one W block looks the map up once.
-type wcopyMemo struct {
-	block mem.Addr
-	wc    *wardCopy
-}
-
-// wcopy returns core's private copy of W block, making it from memory on
-// first use.
 func (s *System) wcopy(core int, block mem.Addr) *wardCopy {
-	if m := &s.wlast[core]; m.wc != nil && m.block == block {
-		return m.wc
-	}
 	wc, ok := s.wcopies[core][block]
 	if !ok {
 		wc = &wardCopy{}
 		s.mem.Read(block, wc.data[:s.cfg.BlockSize])
 		s.wcopies[core][block] = wc
 	}
-	s.wlast[core] = wcopyMemo{block, wc}
 	return wc
-}
-
-// dropWardCopy discards core's private copy of block.
-func (s *System) dropWardCopy(core int, block mem.Addr) {
-	delete(s.wcopies[core], block)
-	if s.wlast[core].block == block {
-		s.wlast[core] = wcopyMemo{}
-	}
 }
 
 // acquire obtains block at core with permissions for the given mode and
