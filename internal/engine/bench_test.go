@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 )
@@ -11,23 +12,36 @@ import (
 // (the thread's lease never ends, so Call never parks); higher thread
 // counts advance in lockstep, forcing a park and resume on every
 // operation — the slow path's upper bound. The spin cases run the same
-// lockstep loop through Thread.Spin, so the hub executes every op and
-// calls the step function without resuming any coroutine.
+// loop through Thread.Spin, so the hub executes every op and calls the
+// step function without resuming any coroutine. Lockstep keeps the
+// scheduler's pick order periodic; the irregular cases advance each op by
+// a seeded 1–40 cycles, the spread of hlpl's steal-loop probes, so the
+// pick order is as data-dependent as in a simulated run.
 func BenchmarkEngineOpOverhead(b *testing.B) {
 	cases := []struct {
-		threads int
-		spin    bool
-	}{{1, false}, {4, false}, {24, false}, {4, true}, {24, true}}
+		threads   int
+		spin      bool
+		irregular bool
+	}{
+		{1, false, false}, {4, false, false}, {24, false, false},
+		{4, true, false}, {24, true, false},
+		{24, false, true}, {96, false, true},
+		{24, true, true}, {96, true, true},
+	}
 	for _, c := range cases {
 		name := fmt.Sprintf("threads=%d", c.threads)
+		if c.irregular {
+			name = "irregular/" + name
+		}
 		if c.spin {
 			name = "spin/" + name
 		}
 		b.Run(name, func(b *testing.B) {
 			threads := c.threads
-			e := New(threads, func(t *Thread, op Op) uint64 { return 1 })
+			e := New(threads, func(t *Thread, op Op) uint64 { return uint64(op.(simpleOp)) })
 			per := b.N/threads + 1
 			for id := 0; id < threads; id++ {
+				ops := benchOps(id, c.irregular)
 				e.SetBody(id, func(t *Thread) {
 					if c.spin {
 						i := 0
@@ -36,12 +50,12 @@ func BenchmarkEngineOpOverhead(b *testing.B) {
 								return nil
 							}
 							i++
-							return simpleOp(0)
+							return ops[i%len(ops)]
 						})
 						return
 					}
 					for i := 0; i < per; i++ {
-						t.Call(nil)
+						t.Call(ops[i%len(ops)])
 					}
 				})
 			}
@@ -53,6 +67,22 @@ func BenchmarkEngineOpOverhead(b *testing.B) {
 			b.ReportMetric(float64(threads*per)/float64(b.N), "ops/iter")
 		})
 	}
+}
+
+// benchOps returns the ops benchmark thread id cycles through: each
+// advances its clock by 1, or, if irregular, by 1–40 cycles drawn from a
+// generator seeded with id.
+func benchOps(id int, irregular bool) []Op {
+	rng := rand.New(rand.NewSource(int64(id)))
+	ops := make([]Op, 1024)
+	for i := range ops {
+		adv := 1
+		if irregular {
+			adv = 1 + rng.Intn(40)
+		}
+		ops[i] = simpleOp(adv)
+	}
+	return ops
 }
 
 // BenchmarkEngineSequentialVsPDES compares the two schedulers on a

@@ -18,24 +18,30 @@
 // locks anywhere — and every run of the same program is bit-identical,
 // which the test suite asserts.
 //
-// Each thread body runs as an iter.Pull coroutine. Run is the hub. It keeps
-// every live thread in a binary min-heap of packed keys now<<16 | id, so
-// one integer compare orders two threads by (clock, id). The heap root is
-// the thread rule 2 picks; it stays at the root while it runs. The hub
-// executes the root's pending operation and resumes the thread, which runs
-// until its next park (or its body returns). When it parks, the hub re-keys
-// the root and sifts it down once; when it exits, the hub pops it.
+// Each thread body runs as an iter.Pull coroutine. Run is the hub. It
+// orders the threads by packed keys now<<16 | id, so one integer compare
+// orders two threads by (clock, id), and keeps the keys in a loser
+// (tournament) tree: one leaf per thread, padded to a power of two with
+// the sentinel key ^0, and at each internal node the key that lost the
+// match played there. The winner at the top is the thread rule 2 picks; it
+// stays the winner while it runs. The hub executes the winner's pending
+// operation and resumes the thread, which runs until its next park (or
+// its body returns). Then the hub replays the thread's leaf-to-root path
+// under its new key (the sentinel once it has exited): a fixed log2 of the
+// padded thread count of steps, each a min and a max with no
+// data-dependent branch. Run ends when no live thread is left.
 //
 // A coroutine switch is a direct runtime handoff between two goroutines
 // with no scheduler queue in between. On top of it the inline lease removes
 // most switches entirely. Before resuming a thread, the hub computes its
 // leaseEnd: the first clock at which the thread no longer precedes every
-// other live thread. The other threads' minimum is the smaller of the
-// root's two children, and leaseEnd also folds in the MaxCycles guard.
-// While the thread's clock stays below leaseEnd, its next operation is by
+// other live thread. The runner-up always lost its match directly to the
+// winner, so the other threads' minimum is the smallest loser on the
+// winner's path; leaseEnd also folds in the MaxCycles guard. While the
+// thread's clock stays below leaseEnd, its next operation is by
 // definition the one rule 2 would pick, so Thread.Call executes the handler
 // inline on the thread's own coroutine — a single compare, no switch, no
-// heap touched. The lease cannot go stale: other threads' clocks only move
+// tree touched. The lease cannot go stale: other threads' clocks only move
 // while this thread is parked.
 //
 // Thread.Spin removes the remaining switches for loops whose body code
@@ -48,9 +54,9 @@
 // after each operation's handler: the serialized position where the
 // coroutine would have resumed. While the thread still precedes every
 // other live thread the hub executes the returned op at once; otherwise it
-// sifts the thread down and moves on. The coroutine resumes only when step
-// returns nil. A step function must build and return its ops, never call
-// them: Thread.Call from inside step panics once the call would park.
+// replays the thread's path and moves on. The coroutine resumes only when
+// step returns nil. A step function must build and return its ops, never
+// call them: Thread.Call from inside step panics once the call would park.
 //
 // Every path executes handlers in exactly the (clock, id) serialized order,
 // and the body code between two of a thread's operations always runs
@@ -116,8 +122,8 @@ type LocalOp interface{ EngineLocal() }
 // is always the only one running.
 type Handler func(t *Thread, op Op) (advance uint64)
 
-// Heap keys pack a thread's (clock, id) as now<<keyIDBits | id, so that
-// integer order is the scheduler's pick order. Clocks above maxKeyClock
+// Scheduler keys pack a thread's (clock, id) as now<<keyIDBits | id, so
+// that integer order is the scheduler's pick order. Clocks above maxKeyClock
 // saturate there; the cycle guard never lets a thread run past
 // clockCeiling, so a saturated key only ever marks a thread about to trip
 // it.
@@ -127,6 +133,7 @@ const (
 	maxThreads   = 1 << keyIDBits
 	maxKeyClock  = 1<<(64-keyIDBits) - 1
 	clockCeiling = maxKeyClock - 1 // the cycle guard when MaxCycles is 0
+	noKey        = ^uint64(0)      // padding leaves and exited threads
 )
 
 // Thread is one simulated hardware thread.
@@ -269,7 +276,7 @@ func (t *Thread) run(yield func(struct{}) bool) {
 	t.body(t)
 }
 
-// key is t's heap key: its (clock, id) packed into one integer.
+// key is t's scheduler key: its (clock, id) packed into one integer.
 func (t *Thread) key() uint64 {
 	now := t.now
 	if now > maxKeyClock {
@@ -283,9 +290,13 @@ type Engine struct {
 	threads []*Thread
 	handler Handler
 
-	heap  keyHeap // live threads under the sequential scheduler
-	guard uint64  // effective cycle guard for this Run (see MaxCycles)
-	final uint64  // maximum clock observed (the global clock)
+	// tree is the sequential scheduler's loser tree over the threads' keys:
+	// tree[0] is the winner and tree[i], 0 < i < len(tree), the loser of
+	// the match between the subtrees 2i and 2i+1. Thread id's leaf is the
+	// implicit node len(tree)+id.
+	tree  []uint64
+	guard uint64 // effective cycle guard for this Run (see MaxCycles)
+	final uint64 // maximum clock observed (the global clock)
 
 	// MaxCycles aborts the run when every runnable thread's clock exceeds
 	// it — a guard against deadlocked simulated programs. Zero means no
@@ -297,7 +308,7 @@ type Engine struct {
 	// predictable branch per op.
 	probe *Probe
 
-	// ran guards Run against double invocation (the coroutines and heap are
+	// ran guards Run against double invocation (the coroutines and tree are
 	// single-use; a second Run would silently corrupt them).
 	ran bool
 
@@ -330,7 +341,7 @@ func maxCyclesError(t *Thread) error {
 }
 
 // New creates an engine with n threads whose operations are executed by
-// handler. n may not exceed 65,536, the ids a heap key can hold.
+// handler. n may not exceed 65,536, the ids a scheduler key can hold.
 func New(n int, handler Handler) *Engine {
 	if n <= 0 || n > maxThreads {
 		panic(fmt.Sprintf("engine: need 1 to %d threads, got %d", maxThreads, n))
@@ -390,48 +401,63 @@ func (e *Engine) Run() (uint64, error) {
 	if e.MaxCycles > 0 && e.MaxCycles < e.guard {
 		e.guard = e.MaxCycles
 	}
-	e.heap = make(keyHeap, 0, len(e.threads))
 
 	// Start threads one at a time, in id order; each runs until its first
 	// op (or exit). The inline lease stays revoked (leaseEnd 0) until the
 	// full set of live threads is known.
+	p := 1
+	for p < len(e.threads) {
+		p *= 2
+	}
+	live := 0                // threads whose bodies have not returned
+	w := make([]uint64, 2*p) // the tree's nodes, then one leaf per thread
+	leaves := w[p:]
+	for i := range leaves {
+		leaves[i] = noKey
+	}
 	for _, t := range e.threads {
 		t.next, t.stop = iter.Pull(t.run)
 		if e.resume(t) {
-			e.heap.push(t.key())
+			leaves[t.id] = t.key()
+			live++
 		}
 	}
+	e.tree = playTournament(w)
 
-	// The hub: the root is the smallest (clock, id) thread. Execute its
+	// The hub: the winner is the smallest (clock, id) thread. Execute its
 	// pending op (and, inside Spin, every op it goes on to post while it
 	// keeps the lease), then either resume its body or leave it parked,
-	// and restore the heap order under its new key.
-	for len(e.heap) > 0 {
-		u := e.threads[e.heap[0]&keyIDMask]
+	// and replay its path under its new key. A live thread can hold the
+	// sentinel's key (id 65535 at a saturated clock), so the loop counts
+	// live threads rather than testing the winner for the sentinel.
+	for live > 0 {
+		u := e.threads[e.tree[0]&keyIDMask]
 		if u.now > e.guard {
 			return u.now, maxCyclesError(u)
 		}
-		if e.drive(u) && !e.resume(u) {
-			e.heap.pop()
-			continue
+		k := noKey
+		if !e.drive(u) || e.resume(u) {
+			k = u.key()
+		} else {
+			live--
 		}
-		e.heap[0] = u.key()
-		e.heap.down(0)
+		e.replay(u.id, k)
 	}
 	return e.final, nil
 }
 
-// drive executes the root thread u's pending op and grants u a fresh
-// lease. If u parked inside Spin, drive keeps calling its step function
-// and executing the ops it returns while u holds the lease. It reports
-// whether u's body must resume: false when u is left parked on the next
-// op of its Spin.
+// drive executes the winner u's pending op and grants u a fresh lease.
+// If u parked inside Spin, drive keeps calling its step function and
+// executing the ops it returns while u holds the lease. It reports whether
+// u's body must resume: false when u is left parked on the next op of its
+// Spin. Nothing touches the tree while u runs, so one lease serves the
+// whole wake.
 func (e *Engine) drive(u *Thread) bool {
 	op := u.pending
 	u.pending = nil
+	u.leaseEnd = e.leaseEnd(u)
 	for {
 		e.exec(u, op)
-		u.leaseEnd = e.leaseEnd(u)
 		if u.spin == nil {
 			return true
 		}
@@ -449,27 +475,35 @@ func (e *Engine) drive(u *Thread) bool {
 	}
 }
 
-// leaseEnd computes the lease of u, the thread at the heap root: u
-// precedes every other live thread while its clock is below the smaller
-// of the root's children's clocks (plus one if u wins the id tie), and
-// may run inline only up to the cycle guard.
+// leaseEnd computes the lease of u, the winner: u precedes every other
+// live thread while its clock is below the smallest loser on its path
+// (plus one if u wins the id tie), and may run inline only up to the
+// cycle guard.
 func (e *Engine) leaseEnd(u *Thread) uint64 {
-	end := e.guard + 1
-	h := e.heap
-	if len(h) > 1 {
-		c := h[1]
-		if len(h) > 2 && h[2] < c {
-			c = h[2]
-		}
-		b := c >> keyIDBits
-		if uint64(u.id) < c&keyIDMask {
-			b++
-		}
-		if b < end {
-			end = b
-		}
+	t := e.tree
+	c := noKey
+	for i := (len(t) + u.id) >> 1; i > 0; i >>= 1 {
+		c = min(c, t[i])
 	}
-	return end
+	b := c >> keyIDBits
+	if uint64(u.id) < c&keyIDMask {
+		b++
+	}
+	return min(b, e.guard+1)
+}
+
+// replay re-plays the matches on thread id's leaf-to-root path after the
+// winner, thread id, takes key k: each node keeps the larger key and sends
+// the smaller one up. Only the winner's path may be replayed, since its
+// nodes hold exactly the keys that lost to it.
+func (e *Engine) replay(id int, k uint64) {
+	t := e.tree
+	for i := (len(t) + id) >> 1; i > 0; i >>= 1 {
+		n := t[i]
+		t[i] = max(n, k)
+		k = min(n, k)
+	}
+	t[0] = k
 }
 
 // resume runs t's body until it parks or returns, reporting whether it
@@ -481,53 +515,20 @@ func (e *Engine) resume(t *Thread) (parked bool) {
 	return parked
 }
 
-// keyHeap is a binary min-heap of packed thread keys (see Thread.key).
-// Keys are distinct (ids are), so the order is total.
-type keyHeap []uint64
-
-func (h *keyHeap) push(k uint64) {
-	*h = append(*h, k)
-	a := *h
-	i := len(a) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if a[p] < k {
-			break
-		}
-		a[i] = a[p]
-		i = p
+// playTournament builds a loser tree from w, whose second half holds the
+// leaf keys and whose length is a power of two at least 2. It plays every
+// match bottom-up, storing winners in w[1:len(w)/2], then walks the
+// internal nodes top-down, replacing each winner by the loser of its match
+// (both of whose players its children still hold). It returns the tree,
+// w[:len(w)/2], with the overall winner at index 0.
+func playTournament(w []uint64) []uint64 {
+	p := len(w) / 2
+	for i := p - 1; i > 0; i-- {
+		w[i] = min(w[2*i], w[2*i+1])
 	}
-	a[i] = k
-}
-
-// pop removes the root.
-func (h *keyHeap) pop() {
-	a := *h
-	last := len(a) - 1
-	a[0] = a[last]
-	*h = a[:last]
-	if last > 0 {
-		h.down(0)
+	w[0] = w[1]
+	for i := 1; i < p; i++ {
+		w[i] = max(w[2*i], w[2*i+1])
 	}
-}
-
-// down restores the heap order below i after a[i]'s key grew.
-func (h keyHeap) down(i int) {
-	k := h[i]
-	n := len(h)
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if r := c + 1; r < n && h[r] < h[c] {
-			c = r
-		}
-		if k < h[c] {
-			break
-		}
-		h[i] = h[c]
-		i = c
-	}
-	h[i] = k
+	return w[:p]
 }

@@ -13,11 +13,14 @@ import (
 // spinSeg is one segment of a thread's program: plain Calls, or a Spin
 // whose step returns ops (advances) until they run out — or, when watch is
 // set, until the shared counter the handlers bump is a multiple of 5, so
-// the step's decision depends on the other threads' progress.
+// the step's decision depends on the other threads' progress. A forever
+// segment cycles through its ops without end (the cycle guard must stop
+// it); only TestSchedulerMatchesReferenceLoop's programs have one.
 type spinSeg struct {
-	spin  bool
-	watch bool
-	ops   []uint64
+	spin    bool
+	watch   bool
+	forever bool
+	ops     []uint64
 }
 
 // spinEvent is one entry of a run's history: an executed op ('x', val is
@@ -233,7 +236,7 @@ func TestCallInsideSpinStepPanics(t *testing.T) {
 	}
 }
 
-// TestNewRejectsTooManyThreads: heap keys hold 16-bit thread ids.
+// TestNewRejectsTooManyThreads: scheduler keys hold 16-bit thread ids.
 func TestNewRejectsTooManyThreads(t *testing.T) {
 	defer func() {
 		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "65536") {
@@ -244,7 +247,7 @@ func TestNewRejectsTooManyThreads(t *testing.T) {
 }
 
 // TestMaxCyclesZeroStopsAtClockCeiling: with no MaxCycles the guard is
-// the heap key's clock ceiling, 2^48−2.
+// the scheduler key's clock ceiling, 2^48−2.
 func TestMaxCyclesZeroStopsAtClockCeiling(t *testing.T) {
 	e := New(2, func(_ *Thread, op Op) uint64 { return uint64(op.(simpleOp)) })
 	e.SetBody(0, func(th *Thread) { th.Call(simpleOp(1)) })
