@@ -54,35 +54,51 @@ func TestInvariantChecker(t *testing.T) {
 // TestObservedMatchesUnobserved asserts the tentpole's zero-cost claim from
 // the other side: attaching sinks must not change simulated behaviour.
 // Cycles and every architectural counter must match a nil-sink run exactly.
+// A bare run also lets the engine run local ops ahead of their serialized
+// turn, which a sink switches off, so this is run-ahead's differential
+// too: on a small machine for primes, and on one full socket for the whole
+// suite under every protocol (TestAttribMatchesUnobserved covers two).
 func TestObservedMatchesUnobserved(t *testing.T) {
-	cfg := eventsTestConfig()
-	e, err := pbbs.ByName("primes")
+	primes, err := pbbs.ByName("primes")
 	if err != nil {
 		t.Fatal(err)
 	}
+	inputs := []struct {
+		cfg    topology.Config
+		suite  []pbbs.Entry
+		protos []core.Protocol
+	}{
+		{eventsTestConfig(), []pbbs.Entry{primes}, core.Protocols("mesi", "warden")},
+		{topology.XeonGold6126(1), pbbs.Suite, core.All()},
+	}
 	opts := hlpl.DefaultOptions()
-	for _, proto := range core.Protocols("mesi", "warden") {
-		plain, err := RunOne(cfg, proto, e, e.Small, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		met := core.NewMetrics()
-		observed, err := RunOneObserved(cfg, proto, e, e.Small, opts,
-			func(m *machine.Machine) core.Sink {
-				return core.Sinks(met, core.NewChecker(m.System()))
-			})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if plain.Cycles != observed.Cycles {
-			t.Fatalf("%v: cycles %d (nil sink) != %d (observed)", proto, plain.Cycles, observed.Cycles)
-		}
-		if plain.Counters != observed.Counters {
-			t.Fatalf("%v: counters diverge with a sink attached:\nnil:      %+v\nobserved: %+v",
-				proto, plain.Counters, observed.Counters)
-		}
-		if met.Events == 0 {
-			t.Fatal("metrics sink observed no events")
+	for _, in := range inputs {
+		for _, e := range in.suite {
+			for _, proto := range in.protos {
+				plain, err := RunOne(in.cfg, proto, e, e.Small, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				met := core.NewMetrics()
+				observed, err := RunOneObserved(in.cfg, proto, e, e.Small, opts,
+					func(m *machine.Machine) core.Sink {
+						return core.Sinks(met, core.NewChecker(m.System()))
+					})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if plain.Cycles != observed.Cycles {
+					t.Fatalf("%s/%v on %d cores: cycles %d (nil sink) != %d (observed)",
+						e.Name, proto, in.cfg.Cores(), plain.Cycles, observed.Cycles)
+				}
+				if plain.Counters != observed.Counters {
+					t.Fatalf("%s/%v on %d cores: counters diverge with a sink attached:\nnil:      %+v\nobserved: %+v",
+						e.Name, proto, in.cfg.Cores(), plain.Counters, observed.Counters)
+				}
+				if met.Events == 0 {
+					t.Fatal("metrics sink observed no events")
+				}
+			}
 		}
 	}
 }

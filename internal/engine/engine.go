@@ -44,6 +44,18 @@
 // tree touched. The lease cannot go stale: other threads' clocks only move
 // while this thread is parked.
 //
+// Local-op run-ahead (SetRunAhead) lets a thread go on past its lease. A
+// LocalOp reads and writes only its own thread's state, so with run-ahead
+// on, Call executes it in place even when the lease has run out (up to the
+// cycle guard, the lease's own cap), and the thread parks only at its next
+// global op. It parks there under exactly the key it would have had, so
+// every global op still executes at its exact (clock, id) position; only
+// host order changes: body code after a LocalOp may run before other
+// threads' ops that precede it in (clock, id) order. Such code must reach
+// shared host state through a global op, the contract the PDES scheduler
+// already imposes. The machine turns run-ahead on when no event sink is
+// attached, since a sink must see every op in serialized order.
+//
 // Thread.Spin removes the remaining switches for loops whose body code
 // between operations is small (a busy-wait, a steal loop). Its meaning is
 // defined as
@@ -51,17 +63,19 @@
 //	for op := step(); op != nil; op = step() { t.Call(op) }
 //
 // but when the thread parks inside Spin, the hub calls step itself, right
-// after each operation's handler: the serialized position where the
-// coroutine would have resumed. While the thread still precedes every
-// other live thread the hub executes the returned op at once; otherwise it
-// replays the thread's path and moves on. The coroutine resumes only when
-// step returns nil. A step function must build and return its ops, never
-// call them: Thread.Call from inside step panics once the call would park.
+// after each operation's handler: the position where the coroutine would
+// have resumed. While the thread still precedes every other live thread
+// (or, with run-ahead on, the returned op is a LocalOp) the hub executes
+// the returned op at once; otherwise it replays the thread's path and
+// moves on. The coroutine resumes only when step returns nil. A step
+// function must build and return its ops, never call them: Thread.Call
+// from inside step panics once the call leaves the inline lease.
 //
-// Every path executes handlers in exactly the (clock, id) serialized order,
-// and the body code between two of a thread's operations always runs
-// immediately after the first operation's handler — identical to a
-// centralized engine, so simulated results are unchanged to the bit.
+// Every path executes global ops' handlers in exactly the (clock, id)
+// serialized order (and, with run-ahead off, LocalOps' too), and the body
+// code between two of a thread's operations always runs immediately after
+// the first operation's handler — identical to a centralized engine, so
+// simulated results are unchanged to the bit.
 //
 // A run that ends early — a tripped cycle guard or a panic in a body or a
 // step — stops every suspended coroutine before Run returns, so no
@@ -108,11 +122,15 @@ type Op interface{}
 
 // LocalOp marks an op as thread-local: executing it reads and writes only
 // state owned by the issuing thread (its clock, its store buffer, its
-// private counters) and never shared simulator state. The PDES scheduler
-// (see SetPDES) executes LocalOps concurrently on host threads inside an
-// epoch window; everything else is serialized in exact (clock, id) order.
-// Ops that do not implement LocalOp are global. The sequential scheduler
-// ignores the marker entirely.
+// private counters, or shared counters whose adds commute) and never
+// shared simulator state another op reads. Ops that do not implement
+// LocalOp are global and always execute in exact (clock, id) order. The
+// sequential scheduler with run-ahead on (see SetRunAhead) executes a
+// LocalOp in place even past the thread's lease; the PDES scheduler (see
+// SetPDES) executes LocalOps concurrently on host threads inside an epoch
+// window. Either way, body and step code that follows a LocalOp may run
+// before other threads' ops that precede it in (clock, id) order, so it
+// must not touch shared host state except through a global op.
 type LocalOp interface{ EngineLocal() }
 
 // Handler executes op on behalf of t and returns how many cycles t's local
@@ -187,8 +205,9 @@ func (t *Thread) Now() uint64 { return t.now }
 // clock by the handler's result). It must only be called from the thread's
 // own body. While the thread holds the inline lease — its clock strictly
 // precedes every other live thread's — the handler runs immediately on
-// this coroutine; otherwise the thread parks and the hub runs the thread
-// with the smallest clock.
+// this coroutine. So does a LocalOp under run-ahead (see SetRunAhead).
+// Otherwise the thread parks and the hub runs the thread with the smallest
+// clock.
 func (t *Thread) Call(op Op) {
 	if t.now < t.leaseEnd {
 		// This thread is the scheduler's next pick: executing inline is
@@ -205,8 +224,16 @@ func (t *Thread) Call(op Op) {
 		}
 		return
 	}
-	if t.eng.pdes != nil {
+	e := t.eng
+	if e.pdes != nil {
 		t.callPDES(op)
+		return
+	}
+	if t.stepping {
+		panic("engine: Thread.Call inside a Spin step function (a step must return its op, not call it)")
+	}
+	if e.runsAhead(t, op) {
+		e.exec(t, op)
 		return
 	}
 	t.park(op)
@@ -219,8 +246,9 @@ func (t *Thread) Call(op Op) {
 // with the same ops, clocks and serialized order, but without resuming the
 // thread's coroutine between ops: once the thread parks, the hub calls
 // step right after each op's handler and executes the returned op while
-// the thread still holds the lease. step runs in serialized context (like
-// body code after an op) and may read the results of the op before it,
+// the thread still holds the lease (or, with run-ahead on, while the op is
+// a LocalOp). step runs where body code after the op before it would run,
+// in serialized context after a global op, and may read that op's results,
 // but it must not call Call itself. Under PDES, Spin runs the loop as
 // written.
 func (t *Thread) Spin(step func() Op) {
@@ -238,7 +266,7 @@ func (t *Thread) Spin(step func() Op) {
 		if op == nil {
 			return
 		}
-		if t.now >= t.leaseEnd {
+		if t.now >= t.leaseEnd && !e.runsAhead(t, op) {
 			// Hand the rest of the loop to the hub: it executes op, keeps
 			// stepping, and resumes this coroutine once step returns nil.
 			t.spin = step
@@ -256,9 +284,6 @@ var errStopped = errors.New("engine: thread stopped")
 // executed it. A false yield means Run is abandoning the thread; unwinding
 // the body then releases its goroutine (see run).
 func (t *Thread) park(op Op) {
-	if t.stepping {
-		panic("engine: Thread.Call inside a Spin step function (a step must return its op, not call it)")
-	}
 	t.pending = op
 	if !t.yield(struct{}{}) {
 		panic(errStopped)
@@ -308,6 +333,10 @@ type Engine struct {
 	// predictable branch per op.
 	probe *Probe
 
+	// runAhead lets a thread past its lease execute LocalOps in place (see
+	// SetRunAhead).
+	runAhead bool
+
 	// ran guards Run against double invocation (the coroutines and tree are
 	// single-use; a second Run would silently corrupt them).
 	ran bool
@@ -324,6 +353,12 @@ type Engine struct {
 	drainH    uint64
 	procs     int // host procs available to this run (GOMAXPROCS at Run)
 }
+
+// SetRunAhead turns local-op run-ahead on or off; it is off by default
+// (see the package comment and LocalOp). Leave it off while an observer
+// needs every op in serialized order. The PDES scheduler ignores it. Call
+// before Run.
+func (e *Engine) SetRunAhead(on bool) { e.runAhead = on }
 
 // SetProbe attaches a live progress probe. Call before Run; the probe may
 // be shared across engines.
@@ -468,11 +503,22 @@ func (e *Engine) drive(u *Thread) bool {
 			u.spin = nil
 			return true
 		}
-		if u.now >= u.leaseEnd {
+		if u.now >= u.leaseEnd && !e.runsAhead(u, op) {
 			u.pending = op
 			return false
 		}
 	}
+}
+
+// runsAhead reports whether t, past its lease, executes op in place
+// anyway: op is a LocalOp, run-ahead is on, and t has not passed the
+// cycle guard, the same cap the lease has.
+func (e *Engine) runsAhead(t *Thread, op Op) bool {
+	if !e.runAhead {
+		return false
+	}
+	_, local := op.(LocalOp)
+	return local && t.now <= e.guard
 }
 
 // leaseEnd computes the lease of u, the winner: u precedes every other

@@ -10,6 +10,11 @@ import (
 // simpleOp advances a thread's clock by its value.
 type simpleOp uint64
 
+// localOp is a LocalOp advancing the thread clock by its value.
+type localOp uint64
+
+func (localOp) EngineLocal() {}
+
 func TestSingleThreadRuns(t *testing.T) {
 	var executed []uint64
 	e := New(1, func(_ *Thread, op Op) uint64 {

@@ -8,11 +8,6 @@ import (
 	"testing"
 )
 
-// localOp is a LocalOp advancing the thread clock by its value.
-type localOp uint64
-
-func (localOp) EngineLocal() {}
-
 // globalOp is a plain (global) op advancing the clock by its value.
 type globalOp uint64
 

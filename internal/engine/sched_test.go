@@ -15,23 +15,29 @@ type schedCursor struct {
 	s, n int
 }
 
-// next returns the advance of the current segment's next op, or false
-// when the segment is over. It reads shared, so it must be called at the
-// thread's serialized position.
+// next returns the value of the current segment's next op, or false when
+// the segment is over. A watching segment reads shared only right after a
+// global op, the thread's serialized position; after a LocalOp the engine
+// may run the thread ahead of that position (see SetRunAhead), so code
+// there must not read what other threads write.
 func (c *schedCursor) next(shared uint64) (uint64, bool) {
 	seg := c.segs[c.s]
-	if (!seg.forever && c.n == len(seg.ops)) || (seg.watch && c.n > 0 && shared%5 == 0) {
+	if !seg.forever && c.n == len(seg.ops) {
+		return 0, false
+	}
+	if seg.watch && c.n > 0 && seg.ops[(c.n-1)%len(seg.ops)]&localBit == 0 && shared%5 == 0 {
 		return 0, false
 	}
 	c.n++
 	return seg.ops[(c.n-1)%len(seg.ops)], true
 }
 
-// schedEvent is one executed op: the thread, its clock, the op's advance
-// and the lease the op ran under.
+// schedEvent is one executed op: the thread, its clock, the op's advance,
+// whether it is a LocalOp, and the lease the op ran under.
 type schedEvent struct {
 	tid      int
 	now, adv uint64
+	local    bool
 	leaseEnd uint64
 }
 
@@ -45,31 +51,36 @@ type schedRun struct {
 }
 
 // runScheduled runs prog on the engine, segment by segment through Call
-// or Spin.
-func runScheduled(prog [][]spinSeg, maxCycles uint64) (r schedRun) {
+// or Spin, with local-op run-ahead on or off. Only global ops bump the
+// shared counter.
+func runScheduled(prog [][]spinSeg, maxCycles uint64, runAhead bool) (r schedRun) {
 	var shared uint64
 	e := New(len(prog), func(t *Thread, op Op) uint64 {
-		adv := uint64(op.(simpleOp))
-		r.log = append(r.log, schedEvent{t.id, t.now, adv, t.leaseEnd})
-		shared += adv + uint64(t.id) + 1
+		v, adv := execProgOp(op)
+		local := v&localBit != 0
+		r.log = append(r.log, schedEvent{t.id, t.now, adv, local, t.leaseEnd})
+		if !local {
+			shared += adv + uint64(t.id) + 1
+		}
 		return adv
 	})
 	e.MaxCycles = maxCycles
+	e.SetRunAhead(runAhead)
 	for id, segs := range prog {
 		c := &schedCursor{segs: segs}
 		e.SetBody(id, func(t *Thread) {
 			for ; c.s < len(c.segs); c.s, c.n = c.s+1, 0 {
 				if c.segs[c.s].spin {
 					t.Spin(func() Op {
-						if adv, ok := c.next(shared); ok {
-							return simpleOp(adv)
+						if v, ok := c.next(shared); ok {
+							return progOp(v)
 						}
 						return nil
 					})
 					continue
 				}
-				for adv, ok := c.next(shared); ok; adv, ok = c.next(shared) {
-					t.Call(simpleOp(adv))
+				for v, ok := c.next(shared); ok; v, ok = c.next(shared) {
+					t.Call(progOp(v))
 				}
 			}
 		})
@@ -129,7 +140,7 @@ func referenceRun(prog [][]spinSeg, maxCycles uint64) (r schedRun) {
 		now := r.clocks[u]
 		if now > guard {
 			r.final = now
-			r.err = fmt.Sprintf("%v: thread %d at cycle %d, pending %T", ErrMaxCycles, u, now, simpleOp(0))
+			r.err = fmt.Sprintf("%v: thread %d at cycle %d, pending %T", ErrMaxCycles, u, now, progOp(pending[u]))
 			return r
 		}
 		lease := guard + 1
@@ -142,9 +153,11 @@ func referenceRun(prog [][]spinSeg, maxCycles uint64) (r schedRun) {
 				lease = min(lease, b)
 			}
 		}
-		adv := pending[u]
-		r.log = append(r.log, schedEvent{u, now, adv, lease})
-		shared += adv + uint64(u) + 1
+		adv, local := pending[u]&^localBit, pending[u]&localBit != 0
+		r.log = append(r.log, schedEvent{u, now, adv, local, lease})
+		if !local {
+			shared += adv + uint64(u) + 1
+		}
 		r.clocks[u] = now + adv
 		advance(u)
 	}
@@ -152,9 +165,9 @@ func referenceRun(prog [][]spinSeg, maxCycles uint64) (r schedRun) {
 
 // randomSchedProgram draws a program of 1–40 threads (every third seed
 // one of 3, 5, 24 or 33, so padding leaves are in play) mixing Spin and
-// Call segments, zero-cycle ops and clock ties, and threads that post no
-// op or exit early. Every fourth seed sets a small MaxCycles and gives
-// some threads a final segment that never ends.
+// Call segments, global ops and LocalOps, zero-cycle ops and clock ties,
+// and threads that post no op or exit early. Every fourth seed sets a
+// small MaxCycles and gives some threads a final segment that never ends.
 func randomSchedProgram(seed int) (prog [][]spinSeg, maxCycles uint64) {
 	rng := rand.New(rand.NewSource(int64(seed)))
 	n := 1 + rng.Intn(40)
@@ -170,39 +183,82 @@ func randomSchedProgram(seed int) (prog [][]spinSeg, maxCycles uint64) {
 		for s := rng.Intn(4); s >= 0; s-- {
 			seg := spinSeg{spin: rng.Intn(2) == 0, watch: rng.Intn(4) == 0}
 			for k := rng.Intn(12); k > 0; k-- {
-				seg.ops = append(seg.ops, advances[rng.Intn(len(advances))])
+				v := advances[rng.Intn(len(advances))]
+				if rng.Intn(3) == 0 {
+					v |= localBit
+				}
+				seg.ops = append(seg.ops, v)
 			}
 			prog[id] = append(prog[id], seg)
 		}
 		if maxCycles > 0 && rng.Intn(3) == 0 {
 			runaway := spinSeg{spin: rng.Intn(2) == 0, forever: true, ops: []uint64{1 + uint64(rng.Intn(40))}}
+			if rng.Intn(2) == 0 {
+				runaway.ops[0] |= localBit
+			}
 			prog[id] = append(prog[id], runaway)
 		}
 	}
 	return prog, maxCycles
 }
 
+// runAheadView is what local-op run-ahead must keep of a run: each
+// thread's own ops in order, then the global ops in serialized order, and
+// the clocks, global clock and error. It drops the leases: under run-ahead
+// the other threads wait at their next global op rather than their next
+// op, so a lease can be longer, and what counts is the global order.
+func (r schedRun) runAheadView() schedRun {
+	v := r
+	v.log = nil
+	for tid := range r.clocks {
+		for _, ev := range r.log {
+			if ev.tid == tid {
+				ev.leaseEnd = 0
+				v.log = append(v.log, ev)
+			}
+		}
+	}
+	for _, ev := range r.log {
+		if !ev.local {
+			ev.leaseEnd = 0
+			v.log = append(v.log, ev)
+		}
+	}
+	return v
+}
+
 // TestSchedulerMatchesReferenceLoop: on random programs the engine must
 // execute exactly the ops of a linear-scan smallest-(clock, id) loop, at
 // the same clocks, under the same leases (a lease too short costs
 // switches, one too long breaks the order), and end with the same clocks,
-// global clock and cycle-guard error.
+// global clock and cycle-guard error. With run-ahead on, LocalOps run
+// past the lease, so only the reference loop's runAheadView must match:
+// every thread's op sequence, the order of the global ops, the clocks and
+// the error.
 func TestSchedulerMatchesReferenceLoop(t *testing.T) {
-	trips := 0
+	trips, ranAhead := 0, 0
 	for seed := 0; seed < 300; seed++ {
 		prog, maxCycles := randomSchedProgram(seed)
 		want := referenceRun(prog, maxCycles)
-		got := runScheduled(prog, maxCycles)
+		got := runScheduled(prog, maxCycles, false)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d (%d threads, MaxCycles %d): engine run differs from the reference loop\ngot  %+v\nwant %+v",
 				seed, len(prog), maxCycles, got, want)
+		}
+		got = runScheduled(prog, maxCycles, true)
+		if g, w := got.runAheadView(), want.runAheadView(); !reflect.DeepEqual(g, w) {
+			t.Fatalf("seed %d (%d threads, MaxCycles %d): run-ahead run differs from the reference loop\ngot  %+v\nwant %+v",
+				seed, len(prog), maxCycles, g, w)
+		}
+		if slices.ContainsFunc(got.log, func(ev schedEvent) bool { return ev.local && ev.now >= ev.leaseEnd }) {
+			ranAhead++
 		}
 		if want.err != "" {
 			trips++
 		}
 	}
-	if trips < 30 {
-		t.Fatalf("only %d of 300 programs tripped the cycle guard", trips)
+	if trips < 30 || ranAhead < 200 {
+		t.Fatalf("of 300 programs, %d tripped the cycle guard and %d ran a LocalOp past its lease", trips, ranAhead)
 	}
 }
 

@@ -23,8 +23,29 @@ type spinSeg struct {
 	ops     []uint64
 }
 
+// localBit marks a program's op value as a LocalOp; the other bits are
+// its advance.
+const localBit = 1 << 32
+
+// progOp returns the op a program's op value v posts.
+func progOp(v uint64) Op {
+	if v&localBit != 0 {
+		return localOp(v &^ localBit)
+	}
+	return simpleOp(v)
+}
+
+// execProgOp executes a program's op: it returns the op's value (with
+// localBit set for a LocalOp) and its advance.
+func execProgOp(op Op) (v, adv uint64) {
+	if o, ok := op.(localOp); ok {
+		return uint64(o) | localBit, uint64(o)
+	}
+	return uint64(op.(simpleOp)), uint64(op.(simpleOp))
+}
+
 // spinEvent is one entry of a run's history: an executed op ('x', val is
-// the op) or a body or step segment observing the shared counter ('b'
+// the op's value) or a body or step segment observing the shared counter ('b'
 // before a Call, 's' at each step; val is the counter).
 type spinEvent struct {
 	kind byte
@@ -37,9 +58,11 @@ type spinEvent struct {
 type spinForm int
 
 const (
-	formSpin spinForm = iota // Thread.Spin under the sequential hub
-	formLoop                 // the defining loop, Call by Call
-	formPDES                 // Thread.Spin under the PDES scheduler
+	formSpin         spinForm = iota // Thread.Spin under the sequential hub
+	formLoop                         // the defining loop, Call by Call
+	formPDES                         // Thread.Spin under the PDES scheduler
+	formSpinRunAhead                 // formSpin with run-ahead on
+	formLoopRunAhead                 // formLoop with run-ahead on
 )
 
 // spinRun is everything a run exposes: the history, the per-thread final
@@ -58,15 +81,20 @@ type spinRun struct {
 func runSpinProgram(prog [][]spinSeg, form spinForm, maxCycles uint64, inject func(t *Thread, k int)) (r spinRun) {
 	var shared uint64
 	handler := func(t *Thread, op Op) uint64 {
-		v := uint64(op.(simpleOp))
+		v, adv := execProgOp(op)
 		r.log = append(r.log, spinEvent{'x', t.ID(), t.Now(), v})
-		shared += v + uint64(t.ID()) + 1
-		return v
+		if v&localBit == 0 {
+			shared += adv + uint64(t.ID()) + 1
+		}
+		return adv
 	}
 	e := New(len(prog), handler)
 	e.MaxCycles = maxCycles
-	if form == formPDES {
+	switch form {
+	case formPDES:
 		e.SetPDES(PDESConfig{Window: 3, Local: func(*Thread, Op) uint64 { panic("no local ops") }})
+	case formSpinRunAhead, formLoopRunAhead:
+		e.SetRunAhead(true)
 	}
 	r.clocks = make([]uint64, len(prog))
 	for id, segs := range prog {
@@ -76,7 +104,7 @@ func runSpinProgram(prog [][]spinSeg, form spinForm, maxCycles uint64, inject fu
 				if !seg.spin {
 					for _, v := range seg.ops {
 						r.log = append(r.log, spinEvent{'b', t.ID(), t.Now(), shared})
-						t.Call(simpleOp(v))
+						t.Call(progOp(v))
 					}
 					continue
 				}
@@ -91,9 +119,9 @@ func runSpinProgram(prog [][]spinSeg, form spinForm, maxCycles uint64, inject fu
 						return nil
 					}
 					i++
-					return simpleOp(seg.ops[i-1])
+					return progOp(seg.ops[i-1])
 				}
-				if form == formLoop {
+				if form == formLoop || form == formLoopRunAhead {
 					for op := step(); op != nil; op = step() {
 						t.Call(op)
 					}
@@ -114,15 +142,20 @@ func runSpinProgram(prog [][]spinSeg, form spinForm, maxCycles uint64, inject fu
 }
 
 // randomSpinProgram draws a program mixing Spin and Call threads, with
-// zero-cycle ops, clock ties, and spins whose first step returns nil.
-func randomSpinProgram(rng *rand.Rand) [][]spinSeg {
+// zero-cycle ops, clock ties, and spins whose first step returns nil. With
+// local set, about a third of the ops are LocalOps.
+func randomSpinProgram(rng *rand.Rand, local bool) [][]spinSeg {
 	advances := []uint64{0, 0, 1, 1, 2, 3, 7}
 	prog := make([][]spinSeg, 1+rng.Intn(6))
 	for id := range prog {
 		for s := rng.Intn(4); s >= 0; s-- {
 			seg := spinSeg{spin: rng.Intn(3) > 0, watch: rng.Intn(3) == 0}
 			for n := rng.Intn(13); n > 0; n-- {
-				seg.ops = append(seg.ops, advances[rng.Intn(len(advances))])
+				v := advances[rng.Intn(len(advances))]
+				if local && rng.Intn(3) == 0 {
+					v |= localBit
+				}
+				seg.ops = append(seg.ops, v)
 			}
 			prog[id] = append(prog[id], seg)
 		}
@@ -133,18 +166,27 @@ func randomSpinProgram(rng *rand.Rand) [][]spinSeg {
 // TestSpinMatchesCallLoop: Spin must execute exactly the ops, at exactly
 // the clocks and serialized positions, of its defining loop, and leave
 // every thread at the same clock — on random programs, under both
-// schedulers.
+// schedulers. On programs with LocalOps, Spin with run-ahead on must
+// match the loop with run-ahead on just as exactly: the same ops, clocks
+// and host order, and the same shared state at every body and step entry.
 func TestSpinMatchesCallLoop(t *testing.T) {
+	type pair struct{ want, got spinForm }
 	for seed := int64(0); seed < 300; seed++ {
-		prog := randomSpinProgram(rand.New(rand.NewSource(seed)))
-		want := runSpinProgram(prog, formLoop, 0, nil)
-		if want.err != "" || want.panicv != nil {
-			t.Fatalf("seed %d: loop form failed: %v %v", seed, want.err, want.panicv)
-		}
-		for _, form := range []spinForm{formSpin, formPDES} {
-			got := runSpinProgram(prog, form, 0, nil)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d form %d: run differs from the loop form\ngot  %+v\nwant %+v", seed, form, got, want)
+		for _, local := range []bool{false, true} {
+			prog := randomSpinProgram(rand.New(rand.NewSource(seed)), local)
+			pairs := []pair{{formLoop, formSpin}, {formLoop, formPDES}}
+			if local {
+				pairs = []pair{{formLoop, formSpin}, {formLoopRunAhead, formSpinRunAhead}}
+			}
+			for _, p := range pairs {
+				want := runSpinProgram(prog, p.want, 0, nil)
+				if want.err != "" || want.panicv != nil {
+					t.Fatalf("seed %d form %d: loop form failed: %v %v", seed, p.want, want.err, want.panicv)
+				}
+				got := runSpinProgram(prog, p.got, 0, nil)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d form %d: run differs from form %d\ngot  %+v\nwant %+v", seed, p.got, p.want, got, want)
+				}
 			}
 		}
 	}
@@ -201,16 +243,23 @@ func TestSpinStepPanicPropagates(t *testing.T) {
 
 // TestCallInsideSpinStepPanics: a step must return its op; calling it
 // instead panics with a message naming the mistake, on the coroutine
-// (the thread's first step) and on the hub (a later one).
+// (the thread's first step) and on the hub (a later one), also when the
+// call is a LocalOp that run-ahead would otherwise execute in place.
 func TestCallInsideSpinStepPanics(t *testing.T) {
-	for _, at := range []int{0, 1} {
+	for _, tc := range []struct {
+		at       int
+		runAhead bool
+	}{{0, false}, {1, false}, {0, true}, {1, true}} {
+		at := tc.at
 		base := runtime.NumGoroutine()
 		e := New(2, func(_ *Thread, op Op) uint64 { return 1 })
+		e.SetRunAhead(tc.runAhead)
+		e.MaxCycles = 1000 // a missed panic ends the run instead of spinning on
 		e.SetBody(0, func(th *Thread) {
 			k := 0
 			th.Spin(func() Op {
 				if k == at {
-					th.Call(simpleOp(1))
+					th.Call(localOp(1))
 				}
 				k++
 				return simpleOp(1)
@@ -225,13 +274,13 @@ func TestCallInsideSpinStepPanics(t *testing.T) {
 			defer func() {
 				r := recover()
 				if s, _ := r.(string); !strings.Contains(s, "inside a Spin step") {
-					t.Fatalf("at %d: recovered %v, want the Spin-step panic", at, r)
+					t.Fatalf("%+v: recovered %v, want the Spin-step panic", tc, r)
 				}
 			}()
 			e.Run()
 		}()
 		if !waitGoroutines(base) {
-			t.Errorf("at %d: %d goroutines after the panic, baseline %d", at, runtime.NumGoroutine(), base)
+			t.Errorf("%+v: %d goroutines after the panic, baseline %d", tc, runtime.NumGoroutine(), base)
 		}
 	}
 }

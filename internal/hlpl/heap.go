@@ -112,9 +112,10 @@ func (h *Heap) mergeInto(ctx *machine.Ctx, parent *Heap) {
 		panic("hlpl: merging a heap with active WARD regions")
 	}
 	ctx.Compute(joinMergeCycles)
-	// Two children of one parent may complete concurrently under the PDES
-	// engine, and the resulting run order feeds later putRun/getRun address
-	// reuse: append at this thread's serialized position.
+	// After the compute above, this code may run ahead of its serialized
+	// position (local-op run-ahead) or concurrently with a sibling (PDES),
+	// and the run order feeds later putRun/getRun address reuse: append at
+	// this thread's serialized position.
 	ctx.Host(func() {
 		parent.runs = append(parent.runs, h.runs...)
 		h.runs = nil

@@ -99,8 +99,9 @@ func (t *Task) Store(a mem.Addr, size int, v uint64) { t.w.ctx.Store(a, size, v)
 func (t *Task) Join2(a, b func(*Task)) {
 	w := t.w
 	rt := w.rt
-	// This segment may run concurrently under the PDES engine; the fork
-	// count is commutative, so an atomic add keeps it exact and race-free.
+	// This segment may run ahead of its serialized position (local-op
+	// run-ahead), or concurrently under the PDES engine; the fork count is
+	// commutative, so an atomic add keeps it exact and race-free.
 	atomic.AddUint64(&rt.Forks, 1)
 	w.ctx.Compute(forkSetupCycles)
 

@@ -59,8 +59,9 @@ type Machine struct {
 	marks []core.Event
 
 	// PDES state (see pdes.go). locals is non-nil iff emode is EnginePDES;
-	// observing caches Sink() != nil for the concurrent local handler,
-	// which must not read the (mutable) sink field itself.
+	// observing caches Sink() != nil at Run for the concurrent local
+	// handler, which must not read the (mutable) sink field itself, and
+	// keeps the sequential engine's local-op run-ahead off.
 	emode     EngineMode
 	locals    []threadLocal
 	nbuffered atomic.Int64
@@ -131,6 +132,9 @@ func (m *Machine) Run(bodies []func(*Ctx)) (uint64, error) {
 	if m.observing {
 		m.marks = make([]core.Event, len(bodies))
 	}
+	// A sink must see every op in serialized order, so local ops run ahead
+	// of their turn only in bare sequential runs.
+	m.eng.SetRunAhead(!m.observing && m.emode == EngineSequential)
 	cycles, err := m.eng.Run()
 	m.cycles = cycles
 	// Fold PDES per-thread counters into the shared set before anything
@@ -201,10 +205,24 @@ type computeOp struct{ cycles uint64 }
 
 type fenceOp struct{}
 
+// Local-op markers (engine.LocalOp). The engine executes a local op past
+// its thread's lease when run-ahead is on, and concurrently under PDES.
+//
+// Classification is deliberately conservative. Only compute and fence are
+// local: both read and write nothing beyond the issuing thread's clock,
+// its private store buffer, and counters whose adds commute. Every
+// memory-system op — loads included — is global, because this simulator's
+// coherence state changes are instantaneous at the issuing clock: another
+// thread's store with a smaller timestamp changes an L1 "hit" into a miss,
+// so shared state has zero usable lookahead and classifying L1 hits as
+// local would break bit-identity.
+func (*computeOp) EngineLocal() {}
+func (*fenceOp) EngineLocal()   {}
+
 // syncFenceOp is the fence of a protocol whose descriptor sets
 // SyncFences: beyond draining the store buffer it runs the protocol's
 // SyncPoint hook against the shared memory system, so — unlike fenceOp —
-// it is a global op (no EngineLocal marker; see pdes.go).
+// it is a global op (no EngineLocal marker).
 type syncFenceOp struct{}
 
 type addRegionOp struct {
@@ -634,12 +652,15 @@ func (c *Ctx) FetchAddOp(a mem.Addr, size int, delta uint64) engine.Op {
 // bit-identical with or without the call.
 //
 // Use it for host-side bookkeeping that is shared across threads (pools,
-// flags, allocation that assigns simulation-visible addresses): under the
-// PDES scheduler, body code between two local ops may run concurrently
-// with other threads and out of clock order, so plain access to shared
-// host state there is both racy and nondeterministic. Wrapping the access
-// in Host serializes it at a deterministic point. Thread-private host
-// state needs no wrapping.
+// flags, allocation that assigns simulation-visible addresses). Body code
+// that follows a local op (Compute, a non-sync Fence) does not run at its
+// serialized position: the sequential engine runs local ops ahead of the
+// thread's turn whenever no sink is attached, so that code may run before
+// other threads' ops that precede it in clock order, and under the PDES
+// scheduler it may also run concurrently with other threads. Plain access
+// to shared host state there is nondeterministic (and, under PDES, racy).
+// Wrapping the access in Host serializes it at a deterministic point.
+// Thread-private host state needs no wrapping.
 func (c *Ctx) Host(fn func()) {
 	c.t.Call(c.HostOp(fn))
 	c.host.fn = nil

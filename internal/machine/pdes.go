@@ -1,16 +1,7 @@
-// PDES integration for the machine layer: op classification, the
-// thread-local fast-path handler, and the speculative event buffers
-// published in serialized order.
-//
-// Classification is deliberately conservative. Only compute and fence are
-// local: both read and write nothing beyond the issuing thread's clock,
-// its private store buffer, and its private counters. Every memory-system
-// op — loads included — is global, because this simulator's coherence
-// state changes are instantaneous at the issuing clock: another thread's
-// store with a smaller timestamp in the same epoch window changes an L1
-// "hit" into a miss, so shared state has zero usable lookahead and
-// classifying L1 hits as local would break bit-identity. The epoch window
-// (topology.MinVisibilityLatency) is therefore purely a batching
+// PDES integration for the machine layer: the thread-local fast-path
+// handler and the speculative event buffers published in serialized order.
+// Which ops are local is decided in machine.go, next to the op types. The
+// epoch window (topology.MinVisibilityLatency) is purely a batching
 // parameter for the paper's compute-heavy disentangled phases, where long
 // runs of compute/fence between memory ops are the common case.
 package machine
@@ -112,10 +103,6 @@ func (m *Machine) SetEngineMode(mode EngineMode) {
 
 // EngineMode returns the scheduler selected for this machine.
 func (m *Machine) EngineMode() EngineMode { return m.emode }
-
-// Local-op markers: compute and fence touch only thread-private state.
-func (*computeOp) EngineLocal() {}
-func (*fenceOp) EngineLocal()   {}
 
 // execLocal is the PDES local handler: it executes compute and fence ops
 // against thread-private state only, buffering the would-be event. It runs

@@ -308,6 +308,10 @@ type Result struct {
 // ended on another (the parser already rejects ends before begins in file
 // order; replay re-checks at simulation time, since an unfortunate
 // interleaving of hand-written traces can still end a region early).
+//
+// The name table and the replay error are host state every thread shares,
+// and body code after a Compute or Fence may run ahead of its serialized
+// turn, so every access to them goes through Ctx.Host.
 func Replay(t *Trace, m *machine.Machine) (Result, error) {
 	if t.MaxThread() >= m.Config().Threads() {
 		return Result{}, fmt.Errorf("trace: uses thread %d but machine has %d threads",
@@ -321,9 +325,6 @@ func Replay(t *Trace, m *machine.Machine) (Result, error) {
 		bodies[i] = func(ctx *machine.Ctx) {
 			var wide []byte
 			for _, ev := range evs {
-				if replayErr != nil {
-					return
-				}
 				switch ev.Kind {
 				case Read:
 					if ev.Size <= 8 {
@@ -350,19 +351,25 @@ func Replay(t *Trace, m *machine.Machine) (Result, error) {
 					ctx.Fence()
 				case BeginRegion:
 					id, _ := ctx.AddRegion(ev.Addr, ev.Hi)
-					regions[ev.Name] = id // single-threaded under the engine
+					ctx.Host(func() { regions[ev.Name] = id })
 				case EndRegion:
 					if ev.Name == NullRegionName {
 						ctx.RemoveRegion(core.NullRegion)
 						continue
 					}
-					id, ok := regions[ev.Name]
+					var id core.RegionID
+					ok := false
+					ctx.Host(func() {
+						if id, ok = regions[ev.Name]; ok {
+							delete(regions, ev.Name)
+						} else if replayErr == nil {
+							replayErr = fmt.Errorf("trace: thread %d ends unknown region %q", ev.Thread, ev.Name)
+						}
+					})
 					if !ok {
-						replayErr = fmt.Errorf("trace: thread %d ends unknown region %q", ev.Thread, ev.Name)
 						return
 					}
 					ctx.RemoveRegion(id)
-					delete(regions, ev.Name)
 				}
 			}
 		}

@@ -225,6 +225,36 @@ func TestReplayRegions(t *testing.T) {
 	}
 }
 
+func TestReplayCrossThreadRegionAfterCompute(t *testing.T) {
+	// A region begun on one thread and ended on another, where the ending
+	// thread computes first: the Compute must not let the end look up the
+	// name before the begin has registered it. The name is then reused, so
+	// a lookup out of serialized order would also find a stale id.
+	src := `
+0 B r 0x10000 0x11000
+1 C 10
+1 E r
+2 C 20
+2 B r 0x20000 0x21000
+3 C 30
+3 E r
+`
+	tr, err := Parse(strings.NewReader(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := testMachine(core.WARDen)
+	if _, err := Replay(tr, m); err != nil {
+		t.Fatal(err)
+	}
+	if c := m.Counters(); c.RegionAdds != 2 || c.RegionRemoves != 2 {
+		t.Fatalf("region adds/removes = %d/%d, want 2/2", c.RegionAdds, c.RegionRemoves)
+	}
+	if err := m.System().CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestReplayUnknownRegionFails(t *testing.T) {
 	// The parser rejects file-order mismatches, but a hand-built Trace can
 	// still end a region no thread ever began; replay must catch it.
